@@ -233,7 +233,7 @@ def _resolve_options(args: argparse.Namespace, command: str) -> dict:
         if key not in known:
             raise UsageError(f"config file sets unknown flag {key!r} for {command}")
     resolved: dict[str, object] = {}
-    for flag in entry["flags"]:
+    for flag in [*entry["flags"], "threads"]:
         conv, default = _GRID_FLAGS.get(flag) or _VALUE_FLAGS[flag]
         if flag == "tau-grid":
             default = _AUDIT_TAU_DEFAULTS.get(command, default)
@@ -249,12 +249,6 @@ def _resolve_options(args: argparse.Namespace, command: str) -> dict:
                 raise UsageError(f"config value for {flag}: {exc}") from exc
         else:
             resolved[flag] = default
-    if args.threads is not None:
-        resolved["threads"] = args.threads
-    elif "threads" in file_values:
-        resolved["threads"] = int(file_values["threads"])
-    else:
-        resolved["threads"] = 1
     return resolved
 
 

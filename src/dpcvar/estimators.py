@@ -35,11 +35,17 @@ from .risk import (
     BoundedLossVector,
     LossBound,
     TailMass,
+    check_losses,
+    cvar_rows,
     cvar_sensitivity_bound,
     empirical_cvar,
     lifted_gradient_bound,
-    minimize_ru_breakpoints,
 )
+
+# Most losses private_finite_class scores at once: a whole (1024, 640) block
+# would add about 10 MiB of transients to the process, a block of 2**15 a few
+# hundred KiB, while still amortizing the per-call overhead.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass
@@ -93,12 +99,13 @@ def private_scalar_cvar(
 class FiniteClassInstance:
     """A finite predictor class with vectorized loss evaluation.
 
-    `loss_of(index, points)` returns the loss vector of one predictor over an
-    array of data points; values must lie in [0, B].
+    `loss_of(indices, points)` takes an integer array of predictor indices and
+    an array of n data points and returns the (len(indices), n) loss block:
+    row i holds the losses of predictor indices[i]. Values must lie in [0, B].
     """
 
     num_predictors: int
-    loss_of: Callable[[int, np.ndarray], np.ndarray]
+    loss_of: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bound: LossBound
 
     def __post_init__(self) -> None:
@@ -116,7 +123,9 @@ def private_finite_class(
     """Select a predictor index by the exponential mechanism.
 
     Scores are negative empirical CVaRs; replacing one record moves every
-    score by at most B/(n*tau), which is the sensitivity used.
+    score by at most B/(n*tau), which is the sensitivity used. Predictors are
+    scored in blocks of consecutive indices, one `loss_of` and one `cvar_rows`
+    call per block.
     """
     if not budget.is_pure:
         raise ValueError("finite-class selection is pure DP; delta must be 0")
@@ -125,12 +134,18 @@ def private_finite_class(
     if n < 1:
         raise ValueError("need at least one data point")
     m = instance.num_predictors
+    rows = max(1, _BLOCK_ELEMENTS // n)
     scores = np.empty(m, dtype=np.float64)
-    for r in range(m):
-        losses = BoundedLossVector(instance.loss_of(r, pts), instance.bound)
-        if losses.n != n:
-            raise ValueError("loss_of must return one loss per data point")
-        scores[r] = -empirical_cvar(losses, tau)
+    for lo in range(0, m, rows):
+        indices = np.arange(lo, min(lo + rows, m))
+        block = np.asarray(instance.loss_of(indices, pts), dtype=np.float64)
+        if block.shape != (indices.size, n):
+            raise ValueError(
+                f"loss_of must return one loss per predictor and data point: "
+                f"expected shape {(indices.size, n)}, got {block.shape}"
+            )
+        check_losses(block, instance.bound)
+        scores[lo:lo + indices.size] = -cvar_rows(block, n * tau.tau)
     sens = SensitivityValue(instance.bound.b / (n * tau.tau))
     if m == 1:
         return LearnerReport(
@@ -223,8 +238,8 @@ def private_convex_cvar(
     is the uniformly averaged w.
 
     Requires delta in (0, n^-2]. A zero-diameter domain short-circuits: the
-    single feasible w is returned noiselessly and the threshold is filled in
-    for reporting only.
+    single feasible w does not depend on the data and is returned without
+    noise, and no threshold is released, since a noiseless one would.
     """
     if config is None:
         config = ConvexLearnerConfig()
@@ -238,17 +253,12 @@ def private_convex_cvar(
     t = tau.tau
 
     if problem.diameter == 0.0:
-        w = problem.project(np.zeros(d))
-        losses, _ = _lifted_batch_eval(problem, w, pts)
-        sample = BoundedLossVector(np.clip(losses, 0.0, b), problem.bound)
-        eta, _ = minimize_ru_breakpoints(sample, tau)
         return LearnerReport(
-            output=w,
+            output=problem.project(np.zeros(d)),
             epsilon=budget.epsilon,
             delta=budget.delta,
             noise_scales=(),
             iterations=0,
-            threshold=eta,
         )
 
     if not (0.0 < budget.delta <= 1.0 / (n * n)):

@@ -61,6 +61,8 @@ from .risk import (
     empirical_cvar,
     lifted_gradient_bound,
 )
+# bound here as well because benchmark tracing patches `harness._cvar_rows` by name
+from .risk import cvar_rows as _cvar_rows
 
 SWEEP_KINDS = ("scalar", "finite", "convex")
 AUDIT_KINDS = ("sensitivity-audit", "mech-audit", "embed-check")
@@ -548,17 +550,6 @@ def _enumerate_samples(levels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     return levels[digits], digits
 
 
-def _cvar_rows(values: np.ndarray, n_tau: float) -> np.ndarray:
-    n = values.shape[1]
-    if n_tau >= n:
-        return values.mean(axis=1)
-    k = int(math.floor(n_tau))
-    ordered = np.sort(values, axis=1)
-    top = ordered[:, n - k:].sum(axis=1) if k > 0 else np.zeros(values.shape[0])
-    nxt = ordered[:, n - k - 1]
-    return (top + (n_tau - k) * nxt) / n_tau
-
-
 def run_sensitivity_audit(config: SweepConfig) -> AuditReport:
     """Exhaustive one-record sensitivity check of the empirical CVaR.
 
@@ -641,9 +632,8 @@ def run_mech_audit(config: SweepConfig) -> AuditReport:
         scores = stream.generator.random(m)
         sens = SensitivityValue(1.0)
         probs = exponential_mechanism_probs(scores, sens, budget)
-        counts = np.zeros(m)
-        for _ in range(config.draws):
-            counts[exponential_mechanism(scores, sens, budget, stream)] += 1
+        picks = exponential_mechanism(scores, sens, budget, stream, size=config.draws)
+        counts = np.bincount(picks, minlength=m)
         tv = 0.5 * float(np.abs(counts / config.draws - probs).sum())
         if tv > max_tv:
             max_tv = tv

@@ -120,12 +120,18 @@ class PackingInstance:
             raise ValueError(f"distribution index must lie in [0, {self.M}), got {j}")
         return DiscreteDistribution([float(j + 1), 0.0], [self.p, 1.0 - self.p])
 
-    def loss_of(self, r: int, points: np.ndarray) -> np.ndarray:
-        """Vectorized loss of predictor r over an array of domain points."""
-        if not 0 <= r < self.M:
+    def loss_of(self, r: int | np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Vectorized loss of predictor r over an array of n domain points.
+
+        An int r gives the (n,) loss vector; an index array of length R gives
+        the (R, n) block whose row i holds the losses of predictor r[i].
+        """
+        idx = np.asarray(r)
+        if idx.size and not (0 <= idx.min() and idx.max() < self.M):
             raise ValueError(f"predictor index must lie in [0, {self.M}), got {r}")
         z = np.asarray(points, dtype=np.float64)
-        return self.bound * ((z != 0.0) & (z != float(r + 1))).astype(np.float64)
+        labels = np.expand_dims(idx + 1.0, -1)
+        return self.bound * ((z != 0.0) & (z != labels)).astype(np.float64)
 
     def excess_of(self, r: int, j: int) -> float:
         """Exact population excess CVaR of predictor r under distribution j."""

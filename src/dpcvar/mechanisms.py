@@ -55,9 +55,10 @@ def stable_stream_id(*parts: object) -> int:
 
     Built on sha256 of the repr strings, so it does not depend on Python's
     per-process hash seed and permuting caller execution order cannot change
-    any stream's draws.
+    any stream's draws. numpy scalars are hashed as the equal Python number,
+    so np.float64(0.05) and 0.05 give the same id (1 and 1.0 still differ).
     """
-    text = "|".join(repr(p) for p in parts)
+    text = "|".join(repr(p.item() if isinstance(p, np.generic) else p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") & ((1 << 63) - 1)
 
@@ -113,13 +114,15 @@ def exponential_mechanism(
     sensitivity: SensitivityValue,
     budget: PrivacyBudget,
     rng: RandomStream,
-) -> int:
+    size: int | None = None,
+) -> int | np.ndarray:
     """Sample an index with probability proportional to exp(eps*score/(2*Dq)).
 
     Higher scores are better. Uses max-subtraction before exponentiation and
-    inverts the cumulative distribution with a single uniform. A zero
+    inverts the cumulative distribution with one uniform per draw. A zero
     sensitivity is only legal when all scores are equal (the choice is then
-    uniform and leaks nothing).
+    uniform and leaks nothing). With `size`, returns an int array of that many
+    independent draws, equal to `size` single calls on the same stream.
     """
     if not budget.is_pure:
         raise ValueError("the exponential mechanism is pure DP; delta must be 0")
@@ -133,16 +136,18 @@ def exponential_mechanism(
     all_equal = bool(s.max() == s.min())
     if dq == 0.0 and not all_equal:
         raise ValueError("zero sensitivity requires all scores equal")
-    u = rng.generator.random()
+    u = rng.generator.random(size)
     if dq == 0.0 or all_equal:
-        return min(int(u * m), m - 1)
-    logits = (budget.epsilon / (2.0 * dq)) * s
-    logits -= logits.max()
-    weights = np.exp(logits)
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
-    idx = int(np.searchsorted(cdf, u, side="right"))
-    return min(idx, m - 1)
+        idx = (np.asarray(u) * m).astype(np.int64)
+    else:
+        logits = (budget.epsilon / (2.0 * dq)) * s
+        logits -= logits.max()
+        weights = np.exp(logits)
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        idx = np.searchsorted(cdf, u, side="right")
+    idx = np.minimum(idx, m - 1)
+    return int(idx) if size is None else idx
 
 
 def exponential_mechanism_probs(

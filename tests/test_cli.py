@@ -139,6 +139,17 @@ class TestUsageErrors:
         assert code == 2
         assert "warp-factor" in err
 
+    def test_bad_config_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("threads = abc\n")
+        code, _, err = run_cli(
+            ["scalar-rate", "--seed", "1", "--out", str(tmp_path / "x.csv"),
+             "--config", str(cfg)],
+            capsys,
+        )
+        assert code == 2
+        assert "threads" in err
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["scalar-rate", "--seed", "1", "--out", str(tmp_path / "x.csv"),

@@ -226,6 +226,27 @@ class TestSweepDeterminism:
             RateTable(alone.rows)
         )
 
+    @pytest.mark.parametrize("kind, grid", [
+        ("scalar", dict(ns=(100, 200), taus=(0.5,), epsilons=(0.4,))),
+        ("finite", dict(ns=(60,), taus=(0.25,), epsilons=(0.5,), Ms=(2, 4))),
+        ("convex", dict(ns=(50,), taus=(1.0,), epsilons=(2.0,), ds=(2,),
+                        deltas=(1e-4,), iterations=20)),
+    ])
+    def test_numpy_typed_grids_write_the_same_csv(self, kind, grid):
+        def as_numpy(value):
+            if isinstance(value, tuple):
+                return tuple(np.float64(v) if isinstance(v, float) else np.int64(v)
+                             for v in value)
+            return value
+
+        base = dict(kind=kind, replicates=30, base_seed=5, **grid)
+        typed = {key: as_numpy(value) for key, value in base.items()}
+        assert isinstance(typed["taus"][0], np.float64)
+        assert isinstance(typed["ns"][0], np.int64)
+        assert rate_csv_text(run_sweep(SweepConfig(**typed))) == rate_csv_text(
+            run_sweep(SweepConfig(**base))
+        )
+
     def test_seed_changes_output(self):
         base = run_sweep(SweepConfig(**SCALAR_CFG))
         other = run_sweep(SweepConfig(**{**SCALAR_CFG, "base_seed": 124}))

@@ -7,6 +7,7 @@ total variation against its exact softmax distribution.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -155,6 +156,14 @@ def test_stable_stream_id_is_order_sensitive_and_stable():
     assert 0 <= x < 2**63
     sub = RandomStream(seed=1, stream_id=2).substream("rep", 5)
     assert sub.seed == 1 and sub.stream_id == stable_stream_id(2, "rep", 5)
+
+
+def test_stable_stream_id_ignores_numpy_scalar_types():
+    text = "'scalar'|100|0.05|True"
+    pinned = int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big") & (2**63 - 1)
+    assert stable_stream_id("scalar", 100, 0.05, True) == pinned
+    typed = stable_stream_id("scalar", np.int64(100), np.float64(0.05), np.bool_(True))
+    assert typed == pinned
 
 
 def test_budget_validation():
