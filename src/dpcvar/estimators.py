@@ -8,7 +8,9 @@ Three release paths share the LearnerReport shape:
     negative empirical CVaR, with score sensitivity B/(n*tau).
   * `private_convex_cvar`: noisy projected subgradient descent on the lifted
     empirical objective over W x [0, B/lam], releasing only the averaged w
-    (and the threshold lam*u alongside it).
+    (and the threshold lam*u alongside it). A `ConvexProblem` evaluates its
+    losses and subgradients on the whole sample per call; one marked
+    `affine` has its subgradients evaluated once per learner call.
 
 Intermediate iterates are never part of a report; only the privatized output
 is.
@@ -42,9 +44,9 @@ from .risk import (
     lifted_gradient_bound,
 )
 
-# Most losses private_finite_class scores at once: a whole (1024, 640) block
-# would add about 10 MiB of transients to the process, a block of 2**15 a few
-# hundred KiB, while still amortizing the per-call overhead.
+# Most values one block holds (losses private_finite_class scores, noise
+# private_convex_cvar draws): a whole (1024, 640) loss block would add about
+# 10 MiB of transients, 2**15 a few hundred KiB, still amortizing each call.
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -165,10 +167,12 @@ def private_finite_class(
 class ConvexProblem:
     """A G-Lipschitz convex loss over a closed domain of diameter D.
 
-    `project` maps any vector to the domain. `loss_at`/`subgrad_at` evaluate
-    one data point; the optional `loss_batch`/`subgrad_batch` evaluate an
-    array of points at once and are preferred when present (same semantics,
-    vectorized).
+    `project` maps any vector to the domain. The losses are evaluated on the
+    whole sample at once: `loss_batch(w, points)` returns the (n,) losses of
+    the n points at w, and `subgrad_batch(w, points)` the (n, d) matrix whose
+    row i is a subgradient of point i's loss at w. `affine = True` states
+    that every loss is affine in w, so its subgradient does not depend on w
+    and the learner evaluates `subgrad_batch` once instead of at every step.
     """
 
     dim: int
@@ -176,10 +180,9 @@ class ConvexProblem:
     lipschitz: float
     bound: LossBound
     project: Callable[[np.ndarray], np.ndarray]
-    loss_at: Callable[[np.ndarray, Any], float]
-    subgrad_at: Callable[[np.ndarray, Any], np.ndarray]
-    loss_batch: Callable[[np.ndarray, Any], np.ndarray] | None = None
-    subgrad_batch: Callable[[np.ndarray, Any], np.ndarray] | None = None
+    loss_batch: Callable[[np.ndarray, Any], np.ndarray]
+    subgrad_batch: Callable[[np.ndarray, Any], np.ndarray]
+    affine: bool = False
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -196,27 +199,32 @@ class ConvexLearnerConfig:
 
     iterations = None runs the default T = n. The noise-aware step rule is
     D_Theta / sqrt(T * (L^2 + d_lift * sigma^2)); "classic" ignores the noise
-    term. Uniform iterate averaging is the default release.
+    term. The release is the uniform average of the iterates.
     """
 
     iterations: int | None = None
     step_size_rule: str = "noise_aware"
-    averaging: bool = True
     record_path: bool = False
     path: list[np.ndarray] = field(default_factory=list, repr=False)
 
 
-def _lifted_batch_eval(
-    problem: ConvexProblem, w: np.ndarray, points: Any
-) -> tuple[np.ndarray, np.ndarray]:
-    if problem.loss_batch is not None and problem.subgrad_batch is not None:
-        return (
-            np.asarray(problem.loss_batch(w, points), dtype=np.float64),
-            np.asarray(problem.subgrad_batch(w, points), dtype=np.float64),
-        )
-    losses = np.array([problem.loss_at(w, z) for z in points], dtype=np.float64)
-    grads = np.stack([problem.subgrad_at(w, z) for z in points]).astype(np.float64)
-    return losses, grads
+def _batch_eval(problem: ConvexProblem, name: str, w: np.ndarray, points: Any, shape: tuple):
+    values = np.asarray(getattr(problem, name)(w, points), dtype=np.float64)
+    if values.shape != shape:
+        raise ValueError(f"{name} must return shape {shape}, got {values.shape}")
+    return values
+
+
+def _clip_terms(sw: np.ndarray, grad_sq: np.ndarray, lam: float, l_lift: float):
+    """Per-point clipped lifted-gradient terms: (w-coefficient, clip factor, u-part).
+
+    All elementwise, so selecting per point from two evaluations at constant
+    `sw` gives the same bits as one evaluation at the mixed `sw`.
+    """
+    gu = lam * (1.0 - sw)
+    norms = np.sqrt(sw * sw * grad_sq + gu * gu)
+    factors = np.where(norms > l_lift, l_lift / np.maximum(norms, 1e-300), 1.0)
+    return factors * sw, factors, gu
 
 
 def private_convex_cvar(
@@ -237,14 +245,18 @@ def private_convex_cvar(
     composition to the 2*L/n step sensitivity, and projects back. The release
     is the uniformly averaged w.
 
+    For an affine problem the subgradient matrix and its row norms are
+    computed once, at the start point. Clipping stays per step (it depends on
+    u through the active set) and the noise scale is unchanged, so `affine`
+    changes only where the subgradients come from, never the guarantee.
+
     Requires delta in (0, n^-2]. A zero-diameter domain short-circuits: the
     single feasible w does not depend on the data and is returned without
     noise, and no threshold is released, since a noiseless one would.
     """
     if config is None:
         config = ConvexLearnerConfig()
-    pts = points if not isinstance(points, np.ndarray) else points
-    n = len(pts)
+    n = len(points)
     if n < 1:
         raise ValueError("need at least one data point")
     b = problem.bound.b
@@ -291,36 +303,37 @@ def private_convex_cvar(
     w_acc = np.zeros(d)
     u_acc = 0.0
     inv_t = 1.0 / t
-    for _ in range(iterations):
-        w_acc += w
-        u_acc += u
-        if config.record_path:
-            config.path.append(np.append(w, u))
-        losses, grads = _lifted_batch_eval(problem, w, pts)
-        active = losses - lam * u > 0.0
-        sw = np.where(active, inv_t, 0.0)
-        gu = lam * (1.0 - sw)
+    if problem.affine:
+        grads = _batch_eval(problem, "subgrad_batch", w, points, (n, d))
         grad_sq = np.einsum("ij,ij->i", grads, grads)
-        norms = np.sqrt(sw * sw * grad_sq + gu * gu)
-        factors = np.where(norms > l_lift, l_lift / np.maximum(norms, 1e-300), 1.0)
-        coeff = factors * sw
-        gw_avg = (grads.T @ coeff) / n
-        gu_avg = float(factors @ gu) / n
-        noise = gaussian_noise(sigma, lift_dim, rng)
-        w = problem.project(w - step * (gw_avg + noise[:d]))
-        u = min(max(u - step * (gu_avg + float(noise[d])), 0.0), u_max)
+        tail = _clip_terms(np.full(n, inv_t), grad_sq, lam, l_lift)
+        body = _clip_terms(np.zeros(n), grad_sq, lam, l_lift)
+    rows = max(1, _BLOCK_ELEMENTS // lift_dim)
+    for lo in range(0, iterations, rows):
+        for noise in gaussian_noise(sigma, lift_dim, rng, rows=min(rows, iterations - lo)):
+            w_acc += w
+            u_acc += u
+            if config.record_path:
+                config.path.append(np.append(w, u))
+            losses = _batch_eval(problem, "loss_batch", w, points, (n,))
+            active = losses - lam * u > 0.0
+            if problem.affine:
+                coeff, factors, gu = (np.where(active, x, y) for x, y in zip(tail, body))
+            else:
+                grads = _batch_eval(problem, "subgrad_batch", w, points, (n, d))
+                grad_sq = np.einsum("ij,ij->i", grads, grads)
+                sw = np.where(active, inv_t, 0.0)
+                coeff, factors, gu = _clip_terms(sw, grad_sq, lam, l_lift)
+            gw_avg = (grads.T @ coeff) / n
+            gu_avg = float(factors @ gu) / n
+            w = problem.project(w - step * (gw_avg + noise[:d]))
+            u = min(max(u - step * (gu_avg + float(noise[d])), 0.0), u_max)
 
-    if config.averaging:
-        w_out = w_acc / iterations
-        u_out = u_acc / iterations
-    else:
-        w_out = w
-        u_out = u
     return LearnerReport(
-        output=w_out,
+        output=w_acc / iterations,
         epsilon=budget.epsilon,
         delta=budget.delta,
         noise_scales=(sigma,),
         iterations=iterations,
-        threshold=lam * u_out,
+        threshold=lam * (u_acc / iterations),
     )

@@ -230,16 +230,6 @@ def slope_csv_text(fits: Sequence[SlopeFit]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_rate_csv(table: RateTable, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(rate_csv_text(table))
-
-
-def write_slope_csv(fits: Sequence[SlopeFit], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(slope_csv_text(fits))
-
-
 def fit_loglog_slope(table: RateTable, variable: str) -> SlopeFit:
     """Least squares on (log x, log mean excess) for one swept variable.
 
@@ -408,10 +398,9 @@ def _convex_cell(
         lipschitz=config.lipschitz,
         bound=bound,
         project=fam.project,
-        loss_at=lambda w, z: float(z[0] * (coef * (z[1:] @ w) + shift)),
-        subgrad_at=lambda w, z: coef * z[0] * z[1:],
         loss_batch=loss_batch,
         subgrad_batch=subgrad_batch,
+        affine=True,
     )
     learner = ConvexLearnerConfig(
         iterations=config.iterations, step_size_rule=config.step_rule

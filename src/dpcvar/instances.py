@@ -126,11 +126,15 @@ class PackingInstance:
         An int r gives the (n,) loss vector; an index array of length R gives
         the (R, n) block whose row i holds the losses of predictor r[i].
         """
-        idx = np.asarray(r)
-        if idx.size and not (0 <= idx.min() and idx.max() < self.M):
+        if isinstance(r, (int, np.integer)):
+            valid, labels = 0 <= r < self.M, r + 1.0
+        else:
+            idx = np.asarray(r)
+            valid = not idx.size or (0 <= idx.min() and idx.max() < self.M)
+            labels = np.expand_dims(idx + 1.0, -1)
+        if not valid:
             raise ValueError(f"predictor index must lie in [0, {self.M}), got {r}")
         z = np.asarray(points, dtype=np.float64)
-        labels = np.expand_dims(idx + 1.0, -1)
         return self.bound * ((z != 0.0) & (z != labels)).astype(np.float64)
 
     def excess_of(self, r: int, j: int) -> float:

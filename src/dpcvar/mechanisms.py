@@ -100,13 +100,16 @@ def laplace_noise(scale: float, rng: RandomStream, size: int | None = None):
     return float(draw) if size is None else draw
 
 
-def gaussian_noise(sigma: float, dim: int, rng: RandomStream) -> np.ndarray:
-    """iid N(0, sigma^2) vector of length dim."""
+def gaussian_noise(sigma: float, dim: int, rng: RandomStream, rows: int | None = None):
+    """iid N(0, sigma^2) vector of length dim.
+
+    With `rows`, a (rows, dim) block equal to `rows` single calls.
+    """
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    return rng.generator.normal(0.0, sigma, size=dim)
+    return rng.generator.normal(0.0, sigma, size=dim if rows is None else (rows, dim))
 
 
 def exponential_mechanism(

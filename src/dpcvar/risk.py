@@ -132,14 +132,6 @@ class DiscreteDistribution:
         return self.values[idx]
 
 
-@dataclass
-class LiftedPoint:
-    """A point (w, u) of the lifted domain W x [0, B/lambda]."""
-
-    w: np.ndarray
-    u: float
-
-
 def cvar_rows(values: np.ndarray, n_tau: float) -> np.ndarray:
     """Empirical CVaR of each row of an (R, n) loss block, with n_tau = n*tau.
 

@@ -143,8 +143,6 @@ def interval_problem(dim=1, diameter=1.0, lipschitz=1.0, b=1.0):
         lipschitz=lipschitz,
         bound=LossBound(b),
         project=project,
-        loss_at=lambda w, z: abs(float(w[0]) - z),
-        subgrad_at=lambda w, z: np.array([math.copysign(1.0, float(w[0]) - z)]),
         loss_batch=lambda w, zs: np.abs(float(w[0]) - zs),
         subgrad_batch=lambda w, zs: np.sign(float(w[0]) - zs + 1e-300).reshape(-1, 1),
     )
@@ -253,8 +251,6 @@ def test_convex_zero_diameter_short_circuits():
         lipschitz=1.0,
         bound=B1,
         project=lambda w: fixed.copy(),
-        loss_at=lambda w, z: abs(float(w[0]) - z),
-        subgrad_at=lambda w, z: np.array([1.0]),
         loss_batch=lambda w, zs: np.abs(float(w[0]) - zs),
         subgrad_batch=lambda w, zs: np.ones((len(zs), 1)),
     )
@@ -267,6 +263,32 @@ def test_convex_zero_diameter_short_circuits():
     assert report.iterations == 0
     # a noiseless threshold would be a function of the data, so none is released
     assert report.threshold is None
+
+
+@pytest.mark.parametrize("affine", [False, True])
+@pytest.mark.parametrize(
+    "callable_name, bad, message",
+    [
+        ("loss_batch", lambda w, zs: np.abs(float(w[0]) - zs)[:, None],
+         r"loss_batch must return shape \(6,\), got \(6, 1\)"),
+        ("subgrad_batch", lambda w, zs: np.ones(len(zs)),
+         r"subgrad_batch must return shape \(6, 1\), got \(6,\)"),
+    ],
+)
+def test_convex_callable_shapes_are_checked(callable_name, bad, message, affine):
+    # a (n, 1) loss column would otherwise broadcast the clip norms to (n, n)
+    problem = interval_problem()
+    setattr(problem, callable_name, bad)
+    problem.affine = affine
+    with pytest.raises(ValueError, match=message):
+        private_convex_cvar(
+            problem,
+            np.linspace(0.0, 0.5, 6),
+            TailMass(0.5),
+            PrivacyBudget(epsilon=1.0, delta=1.0 / 36),
+            RandomStream(seed=18),
+            ConvexLearnerConfig(iterations=3),
+        )
 
 
 def test_private_paths_are_deterministic_per_stream():

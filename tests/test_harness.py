@@ -247,6 +247,21 @@ class TestSweepDeterminism:
             run_sweep(SweepConfig(**base))
         )
 
+    def test_convex_csv_bytes_are_pinned(self):
+        # written by the learner that evaluated subgradients and drew noise at
+        # every step; the affine path and the noise blocks must not move a bit
+        cfg = SweepConfig(kind="convex", ns=(2000,), taus=(1.0,), epsilons=(2.5,),
+                          ds=(2, 8, 32), replicates=2, iterations=60, base_seed=31)
+        assert rate_csv_text(run_sweep(cfg)) == (
+            "kind,n,tau,eps,delta,M,d,B,G,D,reps,mean_excess,stderr,regime,seed\n"
+            "convex,2000,1,2.5,2.4999999999999999e-07,0,2,1,1,1,2,"
+            "0.029117032205141002,0.003737574535328136,mixed,31\n"
+            "convex,2000,1,2.5,2.4999999999999999e-07,0,8,1,1,1,2,"
+            "0.046719536740883638,0.008594809966119275,mixed,31\n"
+            "convex,2000,1,2.5,2.4999999999999999e-07,0,32,1,1,1,2,"
+            "0.088884326546823461,0.0037088524591759315,privacy,31\n"
+        )
+
     def test_seed_changes_output(self):
         base = run_sweep(SweepConfig(**SCALAR_CFG))
         other = run_sweep(SweepConfig(**{**SCALAR_CFG, "base_seed": 124}))

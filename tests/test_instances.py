@@ -91,6 +91,22 @@ def test_packing_loss_table_shape():
         inst.distribution(-1)
 
 
+def test_packing_int_index_equals_one_row_block():
+    inst = make_packing(
+        M=5, n=40, tau=TailMass(0.5), budget=PrivacyBudget(1.0), bound=LossBound(0.7)
+    )
+    pts = np.random.default_rng(3).integers(0, inst.M + 1, size=60).astype(np.float64)
+    for r in range(inst.M):
+        block_row = inst.loss_of(np.array([r]), pts)[0]
+        for index in (r, np.int64(r)):
+            got = inst.loss_of(index, pts)
+            assert got.shape == (pts.size,)
+            assert got.tobytes() == block_row.tobytes()
+    for bad in (-1, inst.M, np.int64(inst.M)):
+        with pytest.raises(ValueError, match="predictor index"):
+            inst.loss_of(bad, pts)
+
+
 def test_packing_requires_two_predictors():
     with pytest.raises(ValueError):
         make_packing(M=1, n=10, tau=TailMass(0.5), budget=PrivacyBudget(1.0), bound=B1)

@@ -1,10 +1,13 @@
-"""Property tests for the CVaR kernel, block-scored selection and batched draws.
+"""Property tests for the CVaR kernel, block-scored selection, batched draws
+and the affine path of the convex learner.
 
 The row kernel `cvar_rows` is checked against the one-row `empirical_cvar`
 (bitwise) and against the independent breakpoint minimization of the threshold
 objective, then for the order properties of CVaR. Block-scored finite-class
 selection is checked against a per-predictor reference loop that draws from
-the same seeded stream.
+the same seeded stream. The convex learner's affine path, which evaluates the
+subgradients once, is checked bitwise against the path that evaluates them at
+every step.
 """
 
 from __future__ import annotations
@@ -14,12 +17,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpcvar.estimators import _BLOCK_ELEMENTS, FiniteClassInstance, private_finite_class
+from dpcvar.estimators import (
+    _BLOCK_ELEMENTS,
+    ConvexLearnerConfig,
+    ConvexProblem,
+    FiniteClassInstance,
+    private_convex_cvar,
+    private_finite_class,
+)
+from dpcvar.instances import make_linear_family
 from dpcvar.mechanisms import (
     PrivacyBudget,
     RandomStream,
     SensitivityValue,
     exponential_mechanism,
+    gaussian_noise,
 )
 from dpcvar.risk import (
     BoundedLossVector,
@@ -170,3 +182,76 @@ def test_batched_exponential_draws_equal_single_draws(scores, sens_value, k, see
     assert batch.shape == (k,)
     assert batch.tolist() == singles
     assert all(isinstance(i, int) and 0 <= i < s.size for i in singles)
+
+
+@PROPERTY
+@given(
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.integers(1, 9),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+)
+def test_gaussian_noise_block_equals_single_draws(sigma, dim, k, seed):
+    block = gaussian_noise(sigma, dim, RandomStream(seed, 6), rows=k)
+    stream = RandomStream(seed, 6)
+    singles = [gaussian_noise(sigma, dim, stream) for _ in range(k)]
+    assert block.shape == (k, dim)
+    assert block.tobytes() == np.array(singles).tobytes()
+
+
+def _linear_problem(n, d, tau_v, seed, affine):
+    """The harness's linear lower-bound family, with a call counter on subgrad_batch."""
+    bound = LossBound(1.0)
+    fam = make_linear_family(d, 1.0, 1.0, bound)
+    gen = np.random.default_rng(seed)
+    active = (gen.random(n) < tau_v).astype(np.float64)
+    mu = gen.uniform(-1.0, 1.0, size=d)
+    data = np.concatenate((active[:, None], fam.sample_sign_vectors(mu, n, gen)), axis=1)
+    coef = fam.g0 / np.sqrt(d)
+    calls = []
+
+    def subgrad_batch(w, zs):
+        calls.append(1)
+        return (coef * zs[:, 0])[:, None] * zs[:, 1:]
+
+    problem = ConvexProblem(
+        dim=d, diameter=1.0, lipschitz=1.0, bound=bound, project=fam.project,
+        loss_batch=lambda w, zs: zs[:, 0] * (coef * (zs[:, 1:] @ w) + fam.shift),
+        subgrad_batch=subgrad_batch, affine=affine,
+    )
+    return problem, data, calls
+
+
+def _affine_and_general_agree(n, d, tau_v, iterations, eps, seed):
+    reports = {}
+    for affine in (True, False):
+        problem, data, calls = _linear_problem(n, d, tau_v, seed, affine)
+        reports[affine] = private_convex_cvar(
+            problem, data, TailMass(tau_v), PrivacyBudget(eps, 1.0 / n**2),
+            RandomStream(seed, 7), ConvexLearnerConfig(iterations=iterations),
+        )
+        assert len(calls) == (1 if affine else iterations)
+    fast, general = reports[True], reports[False]
+    assert fast.output.tobytes() == general.output.tobytes()
+    assert fast.threshold == general.threshold
+    assert fast.noise_scales == general.noise_scales
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(2, 60),  # delta = n^-2 must lie below 1
+    st.integers(1, 12),
+    taus,
+    st.integers(1, 120),
+    st.floats(min_value=0.05, max_value=50.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_affine_learner_is_bitwise_equal_to_per_step_subgradients(n, d, tau_v, iterations, eps,
+                                                                  seed):
+    _affine_and_general_agree(n, d, tau_v, iterations, eps, seed)
+
+
+def test_affine_learner_agrees_across_noise_blocks():
+    d, iterations = 32, 2100
+    assert iterations * (d + 1) > 2 * _BLOCK_ELEMENTS  # the noise spans three blocks
+    _affine_and_general_agree(n=25, d=d, tau_v=0.3, iterations=iterations, eps=1.0, seed=11)
