@@ -135,7 +135,8 @@ class PackingInstance:
         if not valid:
             raise ValueError(f"predictor index must lie in [0, {self.M}), got {r}")
         z = np.asarray(points, dtype=np.float64)
-        return self.bound * ((z != 0.0) & (z != labels)).astype(np.float64)
+        hit = (z != 0.0) & (z != labels)
+        return np.multiply(hit, self.bound, dtype=np.float64)  # one float temporary, not two
 
     def excess_of(self, r: int, j: int) -> float:
         """Exact population excess CVaR of predictor r under distribution j."""
@@ -225,32 +226,6 @@ class EmbeddedInstance:
         return population_cvar_discrete(self.induced_loss_distribution(w), self.tau)
 
 
-class EmbeddedSampler:
-    """Draws (t, y) records of an embedded instance."""
-
-    def __init__(self, inst: EmbeddedInstance):
-        self.inst = inst
-        self._cum = np.cumsum(inst.probs)
-        self._cum[-1] = 1.0
-
-    def draw(self, count: int, rng: np.random.Generator) -> list[tuple[int, Any]]:
-        t = rng.random(count) < self.inst.tau.tau
-        u = rng.random(count)
-        idx = np.searchsorted(self._cum, u, side="right")
-        out: list[tuple[int, Any]] = []
-        for i in range(count):
-            if t[i]:
-                out.append((1, self.inst.points[int(idx[i])]))
-            else:
-                out.append((0, self.inst.dummy))
-        return out
-
-
-def embed_distribution(inst: EmbeddedInstance) -> EmbeddedSampler:
-    """Sampler over (t, y) pairs for an embedded instance."""
-    return EmbeddedSampler(inst)
-
-
 def build_synthetic_cvar_sample(
     ordinary: Sequence[Any],
     n: int,
@@ -310,7 +285,7 @@ class LinearLowerFamily:
 
     def project(self, w: np.ndarray) -> np.ndarray:
         radius = self.diameter / 2.0
-        norm = float(np.linalg.norm(w))
+        norm = math.sqrt(float(w.dot(w)))  # the bits of np.linalg.norm(w), without its dispatch
         if norm <= radius or norm == 0.0:
             return w
         return w * (radius / norm)

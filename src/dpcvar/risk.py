@@ -22,6 +22,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# `DiscreteDistribution.sample` compares uniforms against up to this many
+# interior CDF edges (1.5-4x faster than `np.searchsorted` at n = 3162..100000),
+# and binary-searches above it (three edges already lose at n <= 10000).
+_MAX_COMPARED_EDGES = 2
+# Bit generators whose `advance(k)` moves the stream as k `random()` doubles
+# do; Philox's counts 4-output blocks, and MT19937 and SFC64 have none.
+_ADVANCEABLE = (np.random.PCG64, np.random.PCG64DXSM)
+
 
 @dataclass(frozen=True)
 class TailMass:
@@ -61,10 +69,14 @@ class Envelope:
 
 
 def check_losses(values: np.ndarray, bound: LossBound) -> None:
-    """Raise unless every entry of a nonempty float array is finite and in [0, B]."""
-    if not np.all(np.isfinite(values)):
-        raise ValueError("loss vector contains non-finite entries")
-    if values.min() < 0.0 or values.max() > bound.b:
+    """Raise unless every entry of a nonempty float array is finite and in [0, B].
+
+    NaN and infinities fail the range test, so `isfinite` only picks the message.
+    """
+    lo, hi = values.min(), values.max()
+    if not (0.0 <= lo and hi <= bound.b):
+        if not np.all(np.isfinite(values)):
+            raise ValueError("loss vector contains non-finite entries")
         raise ValueError(f"loss values must lie in [0, {bound.b}]")
 
 
@@ -124,12 +136,29 @@ class DiscreteDistribution:
         return float(self.values @ self.probs)
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw `count` iid atoms by inverse CDF over a uniform block."""
+        """Draw `count` iid atoms by inverse CDF over a uniform block.
+
+        A uniform u takes atom i when i interior CDF edges are <= u. Up to
+        `_MAX_COMPARED_EDGES` edges, u is compared against each edge in turn;
+        beyond that, a binary search is cheaper. A one-atom distribution
+        ignores its uniforms: on a PCG64 or PCG64DXSM stream with no buffered
+        32-bit half it advances the stream past them instead of drawing them,
+        which leaves the generator exactly where `rng.random(count)` would.
+        """
+        values, bits = self.values, rng.bit_generator
+        if values.size == 1 and type(bits) in _ADVANCEABLE and not bits.state["has_uint32"]:
+            out = np.full(count, values[0])
+            bits.advance(int(count))  # advance rejects numpy integers
+            return out
         cum = np.cumsum(self.probs)
         cum[-1] = 1.0  # guard the last edge against rounding
         u = rng.random(count)
-        idx = np.searchsorted(cum, u, side="right")
-        return self.values[idx]
+        if values.size - 1 > _MAX_COMPARED_EDGES:
+            return values[np.searchsorted(cum, u, side="right")]
+        out = np.full(count, values[0])
+        for edge, value in zip(cum[:-1], values[1:]):
+            np.putmask(out, u >= edge, value)
+        return out
 
 
 def cvar_rows(values: np.ndarray, n_tau: float) -> np.ndarray:

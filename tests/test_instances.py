@@ -11,7 +11,6 @@ from dpcvar.instances import (
     DUMMY,
     EmbeddedInstance,
     build_synthetic_cvar_sample,
-    embed_distribution,
     make_linear_family,
     make_packing,
     make_scalar_pair,
@@ -133,20 +132,6 @@ def test_embedding_induced_distribution_mass():
     assert float(induced.probs.sum()) == pytest.approx(1.0, abs=1e-12)
     got = population_cvar_discrete(induced, emb.tau)
     assert got == pytest.approx(0.5 * 0.25 + 1.0 * 0.75, abs=1e-12)
-
-
-def test_embedded_sampler_marginals():
-    emb = EmbeddedInstance.from_table([0.2, 0.9], [0.5, 0.5], TailMass(0.3), B1)
-    sampler = embed_distribution(emb)
-    rng = np.random.default_rng(1)
-    draws = sampler.draw(20_000, rng)
-    rate = sum(t for t, _ in draws) / len(draws)
-    assert rate == pytest.approx(0.3, abs=0.01)
-    for t, y in draws:
-        if t == 0:
-            assert y is DUMMY
-        else:
-            assert y in (0, 1)  # indices into the table support
 
 
 def test_synthetic_sample_layout():

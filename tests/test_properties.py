@@ -1,5 +1,6 @@
-"""Property tests for the CVaR kernel, block-scored selection, batched draws
-and the affine path of the convex learner.
+"""Property tests for the CVaR kernel, block-scored selection, batched draws,
+the discrete sampler, the exponential mechanism's probabilities and the affine
+path of the convex learner.
 
 The row kernel `cvar_rows` is checked against the one-row `empirical_cvar`
 (bitwise) and against the independent breakpoint minimization of the threshold
@@ -7,10 +8,15 @@ objective, then for the order properties of CVaR. Block-scored finite-class
 selection is checked against a per-predictor reference loop that draws from
 the same seeded stream. The convex learner's affine path, which evaluates the
 subgradients once, is checked bitwise against the path that evaluates them at
-every step.
+every step. The discrete sampler, which compares uniforms against the CDF
+edges and skips the uniforms of one-atom draws, is checked bitwise against a
+binary search over the same stream, and for leaving the stream where drawing
+the uniforms would.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -31,10 +37,13 @@ from dpcvar.mechanisms import (
     RandomStream,
     SensitivityValue,
     exponential_mechanism,
+    exponential_mechanism_probs,
     gaussian_noise,
 )
 from dpcvar.risk import (
+    _MAX_COMPARED_EDGES,
     BoundedLossVector,
+    DiscreteDistribution,
     LossBound,
     TailMass,
     cvar_rows,
@@ -255,3 +264,104 @@ def test_affine_learner_agrees_across_noise_blocks():
     d, iterations = 32, 2100
     assert iterations * (d + 1) > 2 * _BLOCK_ELEMENTS  # the noise spans three blocks
     _affine_and_general_agree(n=25, d=d, tau_v=0.3, iterations=iterations, eps=1.0, seed=11)
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.MT19937,
+                  np.random.SFC64]
+
+
+def _same_state(a, b) -> bool:
+    """Equal bit-generator states (nested dicts; MT19937 keeps its key as an array)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return bool(np.array_equal(a, b))
+
+
+def _binary_search_sample(dist, count, rng):
+    """The reference inverse CDF: one binary search per uniform."""
+    cum = np.cumsum(dist.probs)
+    cum[-1] = 1.0
+    return dist.values[np.searchsorted(cum, rng.random(count), side="right")]
+
+
+@st.composite
+def atom_tables(draw):
+    """One atom up to three past the edge-comparison crossover, some of zero
+    probability, with probabilities summing to 1 only within 1e-12."""
+    k = draw(st.integers(1, _MAX_COMPARED_EDGES + 4))
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k))
+    weights = np.array(
+        draw(st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=k, max_size=k))
+    )
+    if weights.sum() == 0.0:
+        weights[draw(st.integers(0, k - 1))] = 1.0
+    return values, weights / weights.sum() * (1.0 + draw(st.floats(-4e-13, 4e-13)))
+
+
+@PROPERTY
+@given(atom_tables(), st.integers(0, 300), st.sampled_from(BIT_GENERATORS),
+       st.integers(0, 2**32 - 1))
+def test_sample_equals_binary_search_on_the_same_stream(atoms, count, bit_generator, seed):
+    dist = DiscreteDistribution(*atoms)
+    rng, ref = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+    got = dist.sample(count, rng)
+    assert got.tobytes() == _binary_search_sample(dist, count, ref).tobytes()
+    assert _same_state(rng.bit_generator.state, ref.bit_generator.state)
+
+
+@pytest.mark.parametrize("zeros", [0, 1, _MAX_COMPARED_EDGES + 2])
+def test_a_uniform_on_an_edge_takes_the_next_atom(zeros):
+    u0 = np.random.default_rng(9).random()
+    probs = [0.0] * zeros + [u0, 1.0 - u0]  # the cumulative sum hits u0 exactly
+    dist = DiscreteDistribution(np.arange(len(probs), dtype=np.float64), probs)
+    got = dist.sample(50, np.random.default_rng(9))
+    assert got[0] == zeros + 1
+    assert got.tobytes() == _binary_search_sample(dist, 50, np.random.default_rng(9)).tobytes()
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered-uint32"])
+def test_one_atom_sample_leaves_the_stream_where_drawing_would(bit_generator, buffered):
+    rng, ref = np.random.Generator(bit_generator(4)), np.random.Generator(bit_generator(4))
+    if buffered:  # a small bounded integer leaves half of a 64-bit output buffered
+        rng.integers(7), ref.integers(7)
+    got = DiscreteDistribution([-0.0], [1.0]).sample(np.int64(100_000), rng)  # numpy-typed n
+    ref.random(100_000)
+    assert got.tobytes() == np.full(100_000, -0.0).tobytes()
+    assert _same_state(rng.bit_generator.state, ref.bit_generator.state)
+    assert rng.integers(2**20, size=4).tolist() == ref.integers(2**20, size=4).tolist()
+    assert rng.laplace(0.0, 1.0) == ref.laplace(0.0, 1.0)
+
+
+@PROPERTY
+@given(st.integers(1, 40), st.floats(0.1, 10.0), st.floats(0.0, 1e3), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_project_is_bitwise_the_linalg_norm_form(d, diameter, scale, zero, seed):
+    fam = make_linear_family(d, diameter, 1.0, LossBound(1.0))
+    w = np.zeros(d) if zero else np.random.default_rng(seed).normal(size=d) * scale
+    radius, norm = diameter / 2.0, float(np.linalg.norm(w))
+    want = w if norm <= radius or norm == 0.0 else w * (radius / norm)
+    assert fam.project(w).tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(
+    st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12),
+    st.floats(0.5, 5.0),
+    st.floats(0.01, 2.0),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_exponential_mechanism_probs_are_the_softmax_and_eps_dp(scores, dq, eps, extreme, seed):
+    s = np.asarray(scores)
+    sens, budget = SensitivityValue(dq), PrivacyBudget(eps)
+    probs = exponential_mechanism_probs(s, sens, budget)
+    weights = [math.exp(eps * x / (2.0 * dq)) for x in scores]
+    np.testing.assert_allclose(probs, [w / math.fsum(weights) for w in weights], rtol=1e-12)
+    assert abs(math.fsum(probs) - 1.0) <= 1e-12
+    # a neighbouring score vector moves each entry by at most the sensitivity
+    gen = np.random.default_rng(seed)
+    step = np.where(gen.random(s.size) < 0.5, -1.0, 1.0) if extreme else gen.uniform(-1, 1, s.size)
+    other = exponential_mechanism_probs(s + dq * step, sens, budget)
+    bound = math.exp(eps) * (1.0 + 1e-9)
+    assert np.all(probs <= bound * other) and np.all(other <= bound * probs)

@@ -304,3 +304,19 @@ def test_type_validation():
         DiscreteDistribution([0.0, 1.0], [-0.1, 1.1])
     # values exactly at the endpoints are legal
     BoundedLossVector(np.array([0.0, 1.0]), B1)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([0.5, np.nan], "non-finite"),
+        ([np.inf, 0.5], "non-finite"),
+        ([-np.inf, 0.5], "non-finite"),
+        ([-1.0, np.nan], "non-finite"),  # non-finite wins over out of range
+        ([0.5, 1.5], r"must lie in \[0, 1.0\]"),
+        ([-0.1, 0.5], r"must lie in \[0, 1.0\]"),
+    ],
+)
+def test_loss_validation_messages(values, message):
+    with pytest.raises(ValueError, match=message):
+        BoundedLossVector(np.array(values), B1)
