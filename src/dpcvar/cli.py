@@ -54,37 +54,33 @@ def _flag_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
-# flag -> (converter, hard default); None converter means store_true
-_GRID_FLAGS: dict[str, tuple[Callable, object]] = {
-    "n-grid": (_int_grid, (1000,)),
-    "tau-grid": (_float_grid, (0.1,)),
-    "eps-grid": (_float_grid, (1.0,)),
-    "delta": (_float_grid, None),
-    "M-grid": (_int_grid, (2,)),
-    "d-grid": (_int_grid, (1,)),
+# flag -> (SweepConfig field, converter); an unset flag leaves the field's default
+_FLAGS: dict[str, tuple[str, Callable]] = {
+    "n-grid": ("ns", _int_grid),
+    "tau-grid": ("taus", _float_grid),
+    "eps-grid": ("epsilons", _float_grid),
+    "delta": ("deltas", _float_grid),
+    "M-grid": ("Ms", _int_grid),
+    "d-grid": ("ds", _int_grid),
+    "B": ("bound", float),
+    "G": ("lipschitz", float),
+    "D": ("diameter", float),
+    "reps": ("replicates", int),
+    "c0": ("c0", float),
+    "c1": ("c1", float),
+    "pair-eps": ("pair_eps", float),
+    "gamma": ("gamma", float),
+    "iters": ("iterations", int),
+    "threads": ("threads", int),
+    "allow-capped": ("allow_capped", _flag_bool),
+    "n-max": ("n_max", int),
+    "levels": ("value_levels", int),
+    "draws": ("draws", int),
+    "trials": ("trials", int),
 }
 
 # audit subcommands take scalar-style names; both spellings are accepted
 _AUDIT_ALIASES = {"n-grid": "n", "tau-grid": "tau", "eps-grid": "eps", "M-grid": "M"}
-
-_VALUE_FLAGS: dict[str, tuple[Callable, object]] = {
-    "B": (float, 1.0),
-    "G": (float, 1.0),
-    "D": (float, 1.0),
-    "reps": (int, 100),
-    "c0": (float, 0.125),
-    "c1": (float, 0.125),
-    "pair-eps": (float, None),
-    "gamma": (float, 1.0),
-    "iters": (int, None),
-    "step-rule": (str, "noise_aware"),
-    "threads": (int, 1),
-    "allow-capped": (_flag_bool, False),
-    "n-max": (int, 6),
-    "levels": (int, 5),
-    "draws": (int, 100_000),
-    "trials": (int, 100),
-}
 
 _SUBCOMMANDS: dict[str, dict] = {
     "scalar-rate": {
@@ -123,7 +119,7 @@ _SUBCOMMANDS: dict[str, dict] = {
             "delta defaults to n^-2 per cell."
         ),
         "flags": ["n-grid", "tau-grid", "eps-grid", "d-grid", "delta", "B", "G",
-                  "D", "reps", "gamma", "iters", "step-rule", "allow-capped"],
+                  "D", "reps", "gamma", "iters", "allow-capped"],
         "out_required": True,
     },
     "sensitivity-audit": {
@@ -191,16 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="parallel cell execution (default 1)")
         audit = not entry["out_required"]
         for flag in entry["flags"]:
-            conv, _default = _GRID_FLAGS.get(flag) or _VALUE_FLAGS[flag]
+            field_name, conv = _FLAGS[flag]
             names = [f"--{flag}"]
             if audit and flag in _AUDIT_ALIASES:
                 names.insert(0, f"--{_AUDIT_ALIASES[flag]}")
-            sub.add_argument(*names, type=conv, default=None, dest=_dest(flag))
+            sub.add_argument(*names, type=conv, default=None, dest=field_name)
     return parser
-
-
-def _dest(flag: str) -> str:
-    return flag.replace("-", "_")
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -221,7 +213,8 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _resolve_options(args: argparse.Namespace, command: str) -> dict:
-    """Merge explicit flags over config-file values over per-command defaults."""
+    """SweepConfig fields from explicit flags over config-file values over
+    per-command defaults; a field set by none of them is left out."""
     entry = _SUBCOMMANDS[command]
     file_values = _read_config_file(args.config) if args.config else {}
     if not entry["out_required"]:
@@ -232,43 +225,28 @@ def _resolve_options(args: argparse.Namespace, command: str) -> dict:
     for key in file_values:
         if key not in known:
             raise UsageError(f"config file sets unknown flag {key!r} for {command}")
+    defaults = dict(_MECH_DEFAULTS) if command == "mech-audit" else {}
+    if command in _AUDIT_TAU_DEFAULTS:
+        defaults["tau-grid"] = _AUDIT_TAU_DEFAULTS[command]
     resolved: dict[str, object] = {}
     for flag in [*entry["flags"], "threads"]:
-        conv, default = _GRID_FLAGS.get(flag) or _VALUE_FLAGS[flag]
-        if flag == "tau-grid":
-            default = _AUDIT_TAU_DEFAULTS.get(command, default)
-        if command == "mech-audit" and flag in _MECH_DEFAULTS:
-            default = _MECH_DEFAULTS[flag]
-        explicit = getattr(args, _dest(flag))
-        if explicit is not None:
-            resolved[flag] = explicit
-        elif flag in file_values:
+        field_name, conv = _FLAGS[flag]
+        value = getattr(args, field_name)
+        if value is None and flag in file_values:
             try:
-                resolved[flag] = conv(file_values[flag])
+                value = conv(file_values[flag])
             except (argparse.ArgumentTypeError, ValueError) as exc:
                 raise UsageError(f"config value for {flag}: {exc}") from exc
-        else:
-            resolved[flag] = default
+        if value is None:
+            value = defaults.get(flag)
+        if value is not None:
+            resolved[field_name] = value
     return resolved
 
 
 def _make_sweep_config(command: str, opts: dict, seed: int) -> SweepConfig:
-    kind = _SUBCOMMANDS[command]["kind"]
-    kwargs = dict(kind=kind, base_seed=seed, threads=opts["threads"])
-    mapping = {
-        "n-grid": "ns", "tau-grid": "taus", "eps-grid": "epsilons",
-        "delta": "deltas", "M-grid": "Ms", "d-grid": "ds",
-        "B": "bound", "G": "lipschitz", "D": "diameter",
-        "reps": "replicates", "c0": "c0", "c1": "c1", "pair-eps": "pair_eps",
-        "gamma": "gamma", "iters": "iterations", "step-rule": "step_rule",
-        "allow-capped": "allow_capped", "n-max": "n_max", "levels": "value_levels",
-        "draws": "draws", "trials": "trials",
-    }
-    for flag, field_name in mapping.items():
-        if flag in opts:
-            kwargs[field_name] = opts[flag]
     try:
-        config = SweepConfig(**kwargs)
+        config = SweepConfig(kind=_SUBCOMMANDS[command]["kind"], base_seed=seed, **opts)
         config.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

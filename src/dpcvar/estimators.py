@@ -19,7 +19,7 @@ is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -193,21 +193,6 @@ class ConvexProblem:
             raise ValueError(f"Lipschitz constant must be nonnegative, got {self.lipschitz!r}")
 
 
-@dataclass
-class ConvexLearnerConfig:
-    """Knobs of the noisy subgradient learner.
-
-    iterations = None runs the default T = n. The noise-aware step rule is
-    D_Theta / sqrt(T * (L^2 + d_lift * sigma^2)); "classic" ignores the noise
-    term. The release is the uniform average of the iterates.
-    """
-
-    iterations: int | None = None
-    step_size_rule: str = "noise_aware"
-    record_path: bool = False
-    path: list[np.ndarray] = field(default_factory=list, repr=False)
-
-
 def _batch_eval(problem: ConvexProblem, name: str, w: np.ndarray, points: Any, shape: tuple):
     values = np.asarray(getattr(problem, name)(w, points), dtype=np.float64)
     if values.shape != shape:
@@ -233,7 +218,8 @@ def private_convex_cvar(
     tau: TailMass,
     budget: PrivacyBudget,
     rng: RandomStream,
-    config: ConvexLearnerConfig | None = None,
+    *,
+    iterations: int | None = None,
 ) -> LearnerReport:
     """Minimize CVaR over a convex class under (eps, delta)-DP.
 
@@ -242,8 +228,9 @@ def private_convex_cvar(
     direction against the weight directions. Each of the T iterations takes a
     full-batch lifted subgradient step (per-example contributions defensively
     clipped at the lifted gradient bound), adds Gaussian noise calibrated by
-    composition to the 2*L/n step sensitivity, and projects back. The release
-    is the uniformly averaged w.
+    composition to the 2*L/n step sensitivity, and projects back. The step
+    size is D_Theta / sqrt(T * (L^2 + (d+1) * sigma^2)), and the release is
+    the uniformly averaged w. `iterations = None` runs T = n.
 
     For an affine problem the subgradient matrix and its row norms are
     computed once, at the start point. Clipping stays per step (it depends on
@@ -254,8 +241,6 @@ def private_convex_cvar(
     single feasible w does not depend on the data and is returned without
     noise, and no threshold is released, since a noiseless one would.
     """
-    if config is None:
-        config = ConvexLearnerConfig()
     n = len(points)
     if n < 1:
         raise ValueError("need at least one data point")
@@ -285,18 +270,14 @@ def private_convex_cvar(
     l_lift = lifted_gradient_bound(g_lip, lam, tau)
     d_theta = math.sqrt(problem.diameter**2 + u_max**2)
 
-    iterations = config.iterations if config.iterations is not None else n
+    if iterations is None:
+        iterations = n
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     sensitivity = 2.0 * l_lift / n
     sigma = gaussian_sigma_for_budget(sensitivity, budget, iterations)
 
-    if config.step_size_rule == "noise_aware":
-        step = d_theta / math.sqrt(iterations * (l_lift**2 + lift_dim * sigma**2))
-    elif config.step_size_rule == "classic":
-        step = d_theta / (l_lift * math.sqrt(iterations))
-    else:
-        raise ValueError(f"unknown step size rule {config.step_size_rule!r}")
+    step = d_theta / math.sqrt(iterations * (l_lift**2 + lift_dim * sigma**2))
 
     w = problem.project(np.zeros(d)).astype(np.float64)
     u = 0.0
@@ -313,8 +294,6 @@ def private_convex_cvar(
         for noise in gaussian_noise(sigma, lift_dim, rng, rows=min(rows, iterations - lo)):
             w_acc += w
             u_acc += u
-            if config.record_path:
-                config.path.append(np.append(w, u))
             losses = _batch_eval(problem, "loss_batch", w, points, (n,))
             active = losses - lam * u > 0.0
             if problem.affine:

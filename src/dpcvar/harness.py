@@ -6,10 +6,19 @@ mean excess risk with its standard error. Experiments never compare constants,
 only scaling exponents and ratio laws; the constants hidden in the analytic
 rates are not reproducible and the reports say so.
 
+`run_sweep` is the one entry point for the scalar, finite and convex sweeps:
+it validates the config, takes the grid product for the kind and hands one
+job per cell to `_run_cells`, which runs them serially or on `threads`
+workers. Every cell follows one skeleton: start its clock, build the
+instance, loop over the replicate streams of `_streams`, and hand the
+per-replicate excess to `_row`, which fills the fifteen CSV fields.
+
 Determinism contract: replicate r of a cell keys its random stream by a stable
 hash of (kind, cell parameters, r), so results are independent of execution
-order and byte-identical across runs for a fixed base seed. Wall times are
-recorded per cell but never serialized.
+order and byte-identical across runs for a fixed base seed. The parameters are
+keyed by value (tau, eps, delta as Python floats; n, M, d as Python ints), so
+a grid of 1 and one of 1.0, or of numpy scalars, draw the same streams. Wall
+times are recorded per cell but never serialized.
 
 Regime labels compare the privacy term against the statistical fluctuation the
 instance family actually realizes (the calibrated tail mass p shrinks with
@@ -26,13 +35,13 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .estimators import (
-    ConvexLearnerConfig,
     ConvexProblem,
     FiniteClassInstance,
     private_convex_cvar,
@@ -103,7 +112,6 @@ class SweepConfig:
     pair_eps: float | None = None
     gamma: float = 1.0
     iterations: int | None = None
-    step_rule: str = "noise_aware"
     threads: int = 1
     allow_capped: bool = False
     # audit knobs
@@ -129,16 +137,25 @@ class SweepConfig:
             raise ValueError("tail masses must lie in (0, 1]")
         if any(e <= 0.0 for e in self.epsilons):
             raise ValueError("epsilons must be positive")
-        if any(m < 2 for m in self.Ms) and self.kind == "finite":
-            raise ValueError("finite sweeps need M >= 2")
+        if any(m < 2 for m in self.Ms) and self.kind in ("finite", "mech-audit"):
+            raise ValueError(f"{self.kind} needs M >= 2")
         if any(d < 1 for d in self.ds):
             raise ValueError("dimensions must be >= 1")
+        if self.iterations is not None and self.iterations < 1:
+            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        for name, value, least in (("n_max", self.n_max, 1), ("draws", self.draws, 1),
+                                   ("trials", self.trials, 1),
+                                   ("value_levels", self.value_levels, 2)):
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if not 0.0 < self.c0 <= 1.0 or not 0.0 < self.c1 <= 1.0:
             raise ValueError("c0 and c1 must lie in (0, 1]")
         if abs(self.gamma) > 1.0:
             raise ValueError("gamma must lie in [-1, 1]")
         if self.bound < 0.0 or self.lipschitz < 0.0 or self.diameter < 0.0:
             raise ValueError("B, G, D must be nonnegative")
+        if self.kind == "convex" and self.diameter == 0.0:
+            raise ValueError("convex sweeps need a positive diameter D")
         if self.kind in SWEEP_KINDS and not self.allow_capped:
             for n, t in product(self.ns, self.taus):
                 if n * t < 1.0:
@@ -182,16 +199,6 @@ class RateRow:
 class RateTable:
     rows: list[RateRow] = field(default_factory=list)
 
-    def filter(self, regime: str | None = None, **fixed) -> "RateTable":
-        """Rows matching a regime label and exact values of named fields."""
-        out = []
-        for row in self.rows:
-            if regime is not None and row.regime != regime:
-                continue
-            if all(getattr(row, k) == v for k, v in fixed.items()):
-                out.append(row)
-        return RateTable(out)
-
 
 @dataclass(frozen=True)
 class SlopeFit:
@@ -204,30 +211,31 @@ class SlopeFit:
     n_points: int
 
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
+_RATE_FLOATS = frozenset(("tau", "eps", "delta", "B", "G", "D", "mean_excess", "stderr"))
+_SLOPE_FLOATS = frozenset(("exponent", "intercept", "r2"))
+
+
+def _csv_text(columns: Sequence[str], floats: frozenset, records) -> str:
+    """Header plus one line per record; float columns carry 17 significant digits."""
+    lines = [",".join(columns)]
+    for record in records:
+        lines.append(",".join(
+            f"{float(value):.17g}" if name in floats else str(value)
+            for name, value in zip(columns, record)
+        ))
+    return "\n".join(lines) + "\n"
 
 
 def rate_csv_text(table: RateTable) -> str:
     """Render a rate table in the canonical CSV layout (17 significant digits)."""
-    lines = [",".join(RATE_COLUMNS)]
-    for r in table.rows:
-        lines.append(",".join((
-            r.kind, str(r.n), _fmt(r.tau), _fmt(r.eps), _fmt(r.delta),
-            str(r.M), str(r.d), _fmt(r.B), _fmt(r.G), _fmt(r.D),
-            str(r.reps), _fmt(r.mean_excess), _fmt(r.stderr), r.regime, str(r.seed),
-        )))
-    return "\n".join(lines) + "\n"
+    return _csv_text(RATE_COLUMNS, _RATE_FLOATS,
+                     ([getattr(r, name) for name in RATE_COLUMNS] for r in table.rows))
 
 
 def slope_csv_text(fits: Sequence[SlopeFit]) -> str:
-    lines = [",".join(SLOPE_COLUMNS)]
-    for f in fits:
-        lines.append(",".join((
-            f.variable, _fmt(f.exponent), _fmt(f.intercept),
-            _fmt(f.r_squared), str(f.n_points),
-        )))
-    return "\n".join(lines) + "\n"
+    return _csv_text(SLOPE_COLUMNS, _SLOPE_FLOATS,
+                     ((f.variable, f.exponent, f.intercept, f.r_squared, f.n_points)
+                      for f in fits))
 
 
 def fit_loglog_slope(table: RateTable, variable: str) -> SlopeFit:
@@ -299,12 +307,6 @@ def fit_all_slopes(table: RateTable) -> list[SlopeFit]:
     return fits
 
 
-def _stderr(errors: np.ndarray) -> float:
-    if errors.size < 2:
-        return 0.0
-    return float(errors.std(ddof=1) / math.sqrt(errors.size))
-
-
 def _three_way(privacy_term: float, statistical_term: float) -> str:
     if privacy_term >= 3.0 * statistical_term:
         return "privacy"
@@ -313,7 +315,42 @@ def _three_way(privacy_term: float, statistical_term: float) -> str:
     return "mixed"
 
 
+def _streams(config: SweepConfig, kind: str, n, tau, eps, index, delta=None):
+    """One RandomStream per replicate of a cell, keyed by the cell's values.
+
+    `index` is the pair member of a scalar cell, M of a finite cell or d of a
+    convex one. Keys are built from float(tau), float(eps), float(delta) and
+    int(n), int(index), so the numeric type of a grid value never picks the
+    stream.
+    """
+    key = (kind, int(n), float(tau), float(eps), int(index))
+    if delta is not None:
+        key += (float(delta),)
+    for rep in range(config.replicates):
+        yield RandomStream(config.base_seed, stable_stream_id(*key, rep))
+
+
+def _row(config: SweepConfig, start: float, excess: np.ndarray, regime: str, *,
+         kind: str, n: int, tau: float, eps: float, delta: float = 0.0,
+         M: int = 0, d: int = 0, G: float = 0.0, D: float = 0.0) -> RateRow:
+    """A cell's RateRow: the mean and standard error of its per-replicate
+    `excess`, and the wall time since `start`."""
+    stderr = float(excess.std(ddof=1) / math.sqrt(excess.size)) if excess.size > 1 else 0.0
+    return RateRow(
+        kind=kind, n=n, tau=tau, eps=eps, delta=delta, M=M, d=d,
+        B=config.bound, G=G, D=D, reps=config.replicates,
+        mean_excess=float(excess.mean()), stderr=stderr, regime=regime,
+        seed=config.base_seed, wall_time=time.perf_counter() - start,
+    )
+
+
 def _scalar_cell(config: SweepConfig, n: int, tau_v: float, eps: float) -> RateRow:
+    """Mean |private estimate - true CVaR| on the worse of the two-point pair.
+
+    Both pair members are run; the reported mean is the larger of the two
+    per-member means (the empirical stand-in for the sup over distributions)
+    with the standard error of the attaining member.
+    """
     start = time.perf_counter()
     tau = TailMass(tau_v)
     bound = LossBound(config.bound)
@@ -323,27 +360,25 @@ def _scalar_cell(config: SweepConfig, n: int, tau_v: float, eps: float) -> RateR
     errors = np.empty((2, config.replicates))
     for which, dist in ((0, pair.p0), (1, pair.p1)):
         truth = pair.true_cvar(which)
-        for rep in range(config.replicates):
-            stream = RandomStream(
-                config.base_seed, stable_stream_id("scalar", n, tau_v, eps, which, rep)
-            )
+        for rep, stream in enumerate(_streams(config, "scalar", n, tau_v, eps, which)):
             sample = BoundedLossVector(dist.sample(n, stream.generator), bound)
             report = private_scalar_cvar(sample, tau, budget, stream)
             errors[which, rep] = abs(report.output - truth)
-    means = errors.mean(axis=1)
-    worst = int(np.argmax(means))
+    worst = int(np.argmax(errors.mean(axis=1)))
     privacy_term = config.bound * min(1.0, 1.0 / (n * tau_v)) / eps
     statistical_term = config.bound * math.sqrt(pair.p * (1.0 - pair.p) / n) / tau_v
-    return RateRow(
-        kind="scalar", n=n, tau=tau_v, eps=eps, delta=0.0, M=0, d=0,
-        B=config.bound, G=0.0, D=0.0, reps=config.replicates,
-        mean_excess=float(means[worst]), stderr=_stderr(errors[worst]),
-        regime=_three_way(privacy_term, statistical_term),
-        seed=config.base_seed, wall_time=time.perf_counter() - start,
-    )
+    return _row(config, start, errors[worst], _three_way(privacy_term, statistical_term),
+                kind="scalar", n=n, tau=tau_v, eps=eps)
 
 
 def _finite_cell(config: SweepConfig, n: int, tau_v: float, eps: float, m: int) -> RateRow:
+    """Mean exact population excess of exponential-mechanism selection.
+
+    Per replicate a packing distribution index j is drawn uniformly, a sample
+    is taken from P_j, and the selector's excess is 0 on a correct pick and
+    exactly the packing gap otherwise, so the cell mean equals
+    gap * (misselection frequency).
+    """
     start = time.perf_counter()
     tau = TailMass(tau_v)
     bound = LossBound(config.bound)
@@ -352,10 +387,7 @@ def _finite_cell(config: SweepConfig, n: int, tau_v: float, eps: float, m: int) 
     cls = FiniteClassInstance(num_predictors=m, loss_of=inst.loss_of, bound=bound)
     budget = PrivacyBudget(eps)
     excess = np.empty(config.replicates)
-    for rep in range(config.replicates):
-        stream = RandomStream(
-            config.base_seed, stable_stream_id("finite", n, tau_v, eps, m, rep)
-        )
+    for rep, stream in enumerate(_streams(config, "finite", n, tau_v, eps, m)):
         j = int(stream.generator.integers(m))
         pts = inst.distribution(j).sample(n, stream.generator)
         report = private_finite_class(cls, pts, tau, budget, stream)
@@ -363,18 +395,19 @@ def _finite_cell(config: SweepConfig, n: int, tau_v: float, eps: float, m: int) 
     log2m = math.log(2 * m)
     privacy_term = 2.0 * config.bound * log2m / (eps * n * tau_v)
     statistical_term = config.bound * math.sqrt(inst.p * log2m / n) / tau_v
-    return RateRow(
-        kind="finite", n=n, tau=tau_v, eps=eps, delta=0.0, M=m, d=0,
-        B=config.bound, G=0.0, D=0.0, reps=config.replicates,
-        mean_excess=float(excess.mean()), stderr=_stderr(excess),
-        regime=_three_way(privacy_term, statistical_term),
-        seed=config.base_seed, wall_time=time.perf_counter() - start,
-    )
+    return _row(config, start, excess, _three_way(privacy_term, statistical_term),
+                kind="finite", n=n, tau=tau_v, eps=eps, M=m)
 
 
 def _convex_cell(
     config: SweepConfig, n: int, tau_v: float, eps: float, d: int, delta: float | None
 ) -> RateRow:
+    """Mean exact population excess CVaR of the private convex learner.
+
+    The cell draws tail-embedded linear-family data, so the population excess
+    of the averaged iterate is available in closed form through the embedding
+    identity; no surrogate evaluation error enters the measurement.
+    """
     start = time.perf_counter()
     tau = TailMass(tau_v)
     bound = LossBound(config.bound)
@@ -402,20 +435,14 @@ def _convex_cell(
         subgrad_batch=subgrad_batch,
         affine=True,
     )
-    learner = ConvexLearnerConfig(
-        iterations=config.iterations, step_size_rule=config.step_rule
-    )
     excess = np.empty(config.replicates)
-    for rep in range(config.replicates):
-        stream = RandomStream(
-            config.base_seed,
-            stable_stream_id("convex", n, tau_v, eps, d, delta, rep),
-        )
+    for rep, stream in enumerate(_streams(config, "convex", n, tau_v, eps, d, delta)):
         gen = stream.generator
         active = (gen.random(n) < tau_v).astype(np.float64)
         signs = fam.sample_sign_vectors(mu, n, gen)
         data = np.concatenate((active[:, None], signs), axis=1)
-        report = private_convex_cvar(problem, data, tau, budget, stream, learner)
+        report = private_convex_cvar(problem, data, tau, budget, stream,
+                                     iterations=config.iterations)
         excess[rep] = fam.population_excess(report.output, mu)
     iterations = config.iterations if config.iterations is not None else n
     lam = math.sqrt(config.lipschitz * config.bound / config.diameter) \
@@ -426,14 +453,8 @@ def _convex_cell(
     regime = "privacy" if noise_ratio >= 1.0 else (
         "statistical" if noise_ratio <= 1.0 / 3.0 else "mixed"
     )
-    return RateRow(
-        kind="convex", n=n, tau=tau_v, eps=eps, delta=delta, M=0, d=d,
-        B=config.bound, G=config.lipschitz, D=config.diameter,
-        reps=config.replicates,
-        mean_excess=float(excess.mean()), stderr=_stderr(excess),
-        regime=regime, seed=config.base_seed,
-        wall_time=time.perf_counter() - start,
-    )
+    return _row(config, start, excess, regime, kind="convex", n=n, tau=tau_v, eps=eps,
+                delta=delta, d=d, G=config.lipschitz, D=config.diameter)
 
 
 def _run_cells(config: SweepConfig, jobs: list[Callable[[], RateRow]]) -> RateTable:
@@ -445,72 +466,24 @@ def _run_cells(config: SweepConfig, jobs: list[Callable[[], RateRow]]) -> RateTa
     return RateTable(rows)
 
 
-def run_scalar_sweep(config: SweepConfig) -> RateTable:
-    """Mean |private estimate - true CVaR| on the worse of the two-point pair.
-
-    Both pair members are run per cell; the reported mean is the larger of the
-    two per-distribution means (the empirical stand-in for the sup over
-    distributions) with the standard error of the attaining member.
-    """
-    if config.kind != "scalar":
-        raise ValueError(f"scalar sweep got kind {config.kind!r}")
-    config.validate()
-    jobs = [
-        (lambda n=n, t=t, e=e: _scalar_cell(config, n, t, e))
-        for n, t, e in product(config.ns, config.taus, config.epsilons)
-    ]
-    return _run_cells(config, jobs)
-
-
-def run_finite_sweep(config: SweepConfig) -> RateTable:
-    """Mean exact population excess of exponential-mechanism selection.
-
-    Per replicate a packing distribution index j is drawn uniformly, a sample
-    is taken from P_j, and the selector's excess is 0 on a correct pick and
-    exactly the packing gap otherwise, so the cell mean equals
-    gap * (misselection frequency).
-    """
-    if config.kind != "finite":
-        raise ValueError(f"finite sweep got kind {config.kind!r}")
-    config.validate()
-    jobs = [
-        (lambda n=n, t=t, e=e, m=m: _finite_cell(config, n, t, e, m))
-        for n, t, e, m in product(config.ns, config.taus, config.epsilons, config.Ms)
-    ]
-    return _run_cells(config, jobs)
-
-
-def run_convex_sweep(config: SweepConfig) -> RateTable:
-    """Mean exact population excess CVaR of the private convex learner.
-
-    Cells draw tail-embedded linear-family data, so the population excess of
-    the averaged iterate is available in closed form through the embedding
-    identity; no surrogate evaluation error enters the measurement.
-    """
-    if config.kind != "convex":
-        raise ValueError(f"convex sweep got kind {config.kind!r}")
-    config.validate()
-    deltas: tuple[float | None, ...] = (
-        config.deltas if config.deltas is not None else (None,)
-    )
-    jobs = [
-        (lambda n=n, t=t, e=e, d=d, dl=dl: _convex_cell(config, n, t, e, d, dl))
-        for n, t, e, d, dl in product(
-            config.ns, config.taus, config.epsilons, config.ds, deltas
-        )
-    ]
-    return _run_cells(config, jobs)
-
-
 def run_sweep(config: SweepConfig) -> RateTable:
-    runner = {
-        "scalar": run_scalar_sweep,
-        "finite": run_finite_sweep,
-        "convex": run_convex_sweep,
-    }.get(config.kind)
-    if runner is None:
+    """Run every cell of a scalar, finite or convex sweep: one RateRow per cell.
+
+    Cells are the product of the n, tau and eps grids with the M grid (finite)
+    or the d and delta grids (convex), in that order. The cell functions are
+    looked up on every call, so a caller may wrap them.
+    """
+    if config.kind not in SWEEP_KINDS:
         raise ValueError(f"not a sweep kind: {config.kind!r}")
-    return runner(config)
+    config.validate()
+    deltas = (None,) if config.deltas is None else config.deltas
+    cell, extra = {
+        "scalar": (_scalar_cell, ()),
+        "finite": (_finite_cell, (config.Ms,)),
+        "convex": (_convex_cell, (config.ds, deltas)),
+    }[config.kind]
+    grid = product(config.ns, config.taus, config.epsilons, *extra)
+    return _run_cells(config, [partial(cell, config, *values) for values in grid])
 
 
 @dataclass(frozen=True)

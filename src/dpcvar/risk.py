@@ -57,17 +57,6 @@ class LossBound:
             raise ValueError(f"loss bound must be nonnegative, got {self.b}")
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """Inverse tail level kappa >= 1; the envelope at kappa is CVaR at 1/kappa."""
-
-    kappa: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.kappa) or self.kappa < 1.0:
-            raise ValueError(f"envelope parameter must be >= 1, got {self.kappa!r}")
-
-
 def check_losses(values: np.ndarray, bound: LossBound) -> None:
     """Raise unless every entry of a nonempty float array is finite and in [0, B].
 
@@ -235,11 +224,6 @@ def lifted_sensitivity_bound(n: int, tau: TailMass, bound: LossBound) -> float:
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     return bound.b / (n * tau.tau)
-
-
-def envelope_empirical_risk(sample: BoundedLossVector, env: Envelope) -> float:
-    """Empirical risk envelope at kappa: the empirical CVaR at tau = 1/kappa."""
-    return empirical_cvar(sample, TailMass(1.0 / env.kappa))
 
 
 def lifted_loss(loss_value: float, u: float, lam: float, tau: TailMass) -> float:

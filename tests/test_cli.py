@@ -150,6 +150,26 @@ class TestUsageErrors:
         assert code == 2
         assert "threads" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["convex-rate", "--iters", "0"], "iterations"),
+        (["convex-rate", "--D", "0"], "diameter"),
+        (["convex-rate", "--step-rule", "classic"], "step-rule"),
+        (["mech-audit", "--M-grid", "1"], "M >= 2"),
+        (["mech-audit", "--draws", "0"], "draws"),
+        (["embed-check", "--trials", "0"], "trials"),
+        (["sensitivity-audit", "--n-max", "0"], "n_max"),
+        (["sensitivity-audit", "--levels", "1"], "value_levels"),
+    ])
+    def test_out_of_range_option_exits_2(self, argv, message, tmp_path, capsys):
+        # each of these once crashed with exit 1 or passed without checking anything
+        argv = [*argv, "--seed", "1", "--out", str(tmp_path / "x.csv")]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["scalar-rate", "--seed", "1", "--out", str(tmp_path / "x.csv"),

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from dpcvar.estimators import (
-    ConvexLearnerConfig,
     ConvexProblem,
     FiniteClassInstance,
     private_convex_cvar,
@@ -155,7 +154,7 @@ def test_convex_low_noise_reaches_minimum():
     tau = TailMass(1.0)
     budget = PrivacyBudget(epsilon=1e6, delta=1.0 / 400**2)
     report = private_convex_cvar(
-        problem, zs, tau, budget, RandomStream(seed=9), ConvexLearnerConfig(iterations=600)
+        problem, zs, tau, budget, RandomStream(seed=9), iterations=600
     )
     w = report.output
     assert np.linalg.norm(w) <= 0.5 + 1e-9
@@ -168,19 +167,25 @@ def test_convex_iterates_and_threshold_stay_feasible():
     rng_data = np.random.default_rng(10)
     zs = rng_data.uniform(0.0, 0.5, size=50)
     problem = interval_problem()
-    config = ConvexLearnerConfig(iterations=80, record_path=True)
+    iterates = []
+
+    def recording_project(w, project=problem.project):
+        iterates.append(project(w))
+        return iterates[-1]
+
+    problem.project = recording_project
     report = private_convex_cvar(
         problem,
         zs,
         TailMass(0.5),
         PrivacyBudget(epsilon=0.8, delta=1.0 / 50**2),
         RandomStream(seed=11),
-        config,
+        iterations=80,
     )
     lam = 1.0  # sqrt(G*B/D) with G = B = D = 1
-    for point in config.path:
-        assert np.linalg.norm(point[:-1]) <= 0.5 + 1e-9
-        assert 0.0 <= point[-1] <= 1.0 / lam + 1e-9
+    assert len(iterates) == 81  # the start point and one iterate per step
+    for w in iterates:
+        assert np.linalg.norm(w) <= 0.5 + 1e-9
     assert report.threshold is not None and 0.0 <= report.threshold <= 1.0 + 1e-9
     assert report.iterations == 80
     want_sigma = gaussian_sigma_for_budget(
@@ -287,7 +292,7 @@ def test_convex_callable_shapes_are_checked(callable_name, bad, message, affine)
             TailMass(0.5),
             PrivacyBudget(epsilon=1.0, delta=1.0 / 36),
             RandomStream(seed=18),
-            ConvexLearnerConfig(iterations=3),
+            iterations=3,
         )
 
 

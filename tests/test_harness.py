@@ -231,21 +231,23 @@ class TestSweepDeterminism:
         ("finite", dict(ns=(60,), taus=(0.25,), epsilons=(0.5,), Ms=(2, 4))),
         ("convex", dict(ns=(50,), taus=(1.0,), epsilons=(2.0,), ds=(2,),
                         deltas=(1e-4,), iterations=20)),
+        ("scalar", dict(ns=(100,), taus=(1,), epsilons=(1, 2))),
     ])
     def test_numpy_typed_grids_write_the_same_csv(self, kind, grid):
-        def as_numpy(value):
-            if isinstance(value, tuple):
-                return tuple(np.float64(v) if isinstance(v, float) else np.int64(v)
-                             for v in value)
-            return value
-
+        # a grid value picks its streams by value: 1, 1.0 and np.float64(1.0) agree
         base = dict(kind=kind, replicates=30, base_seed=5, **grid)
-        typed = {key: as_numpy(value) for key, value in base.items()}
+        floats = ("taus", "epsilons", "deltas")
+
+        def retyped(float_type, int_type):
+            return {key: tuple(map(float_type if key in floats else int_type, value))
+                    if isinstance(value, tuple) else value for key, value in base.items()}
+
+        typed = retyped(np.float64, np.int64)
         assert isinstance(typed["taus"][0], np.float64)
         assert isinstance(typed["ns"][0], np.int64)
-        assert rate_csv_text(run_sweep(SweepConfig(**typed))) == rate_csv_text(
-            run_sweep(SweepConfig(**base))
-        )
+        expected = rate_csv_text(run_sweep(SweepConfig(**retyped(float, int))))
+        assert rate_csv_text(run_sweep(SweepConfig(**typed))) == expected
+        assert rate_csv_text(run_sweep(SweepConfig(**base))) == expected
 
     def test_convex_csv_bytes_are_pinned(self):
         # written by the learner that evaluated subgradients and drew noise at
@@ -261,6 +263,61 @@ class TestSweepDeterminism:
             "convex,2000,1,2.5,2.4999999999999999e-07,0,32,1,1,1,2,"
             "0.088884326546823461,0.0037088524591759315,privacy,31\n"
         )
+
+    def test_scalar_csv_bytes_are_pinned(self):
+        # written by the per-kind sweeps that each built their own streams and rows
+        cfg = SweepConfig(kind="scalar", ns=(100, 1000), taus=(0.1, 0.5),
+                          epsilons=(0.5,), replicates=8, base_seed=3)
+        assert rate_csv_text(run_sweep(cfg)) == (
+            "kind,n,tau,eps,delta,M,d,B,G,D,reps,mean_excess,stderr,regime,seed\n"
+            "scalar,100,0.10000000000000001,0.5,0,0,0,1,0,0,8,"
+            "0.096460480349191774,0.055046150908410363,privacy,3\n"
+            "scalar,100,0.5,0.5,0,0,0,1,0,0,8,"
+            "0.026204257798385852,0.012510565850157843,privacy,3\n"
+            "scalar,1000,0.10000000000000001,0.5,0,0,0,1,0,0,8,"
+            "0.0029902751426517582,0.00049027514265175833,privacy,3\n"
+            "scalar,1000,0.5,0.5,0,0,0,1,0,0,8,"
+            "0.0023572070678105767,0.0012438576437581608,privacy,3\n"
+        )
+
+    def test_finite_csv_bytes_are_pinned(self):
+        cfg = SweepConfig(kind="finite", ns=(200,), taus=(0.25,), epsilons=(0.5, 2.0),
+                          Ms=(2, 8), replicates=20, base_seed=9)
+        assert rate_csv_text(run_sweep(cfg)) == (
+            "kind,n,tau,eps,delta,M,d,B,G,D,reps,mean_excess,stderr,regime,seed\n"
+            "finite,200,0.25,0.5,0,2,0,1,0,0,20,"
+            "0.0019061547465398499,0.00039555444256457565,privacy,9\n"
+            "finite,200,0.25,0.5,0,8,0,1,0,0,20,"
+            "0.0093574869375592611,0.00071558491098811764,privacy,9\n"
+            "finite,200,0.25,2,0,2,0,1,0,0,20,"
+            "0.00047653868663496247,9.8888610641143911e-05,privacy,9\n"
+            "finite,200,0.25,2,0,8,0,1,0,0,20,"
+            "0.0022094066380348256,0.0002129291010986187,privacy,9\n"
+        )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_run_sweep_calls_the_cells_it_finds_at_call_time(self, monkeypatch, threads):
+        # benchmark tracing wraps the cells by name and reads every row's wall time
+        import dpcvar.harness as harness
+
+        sweeps = {
+            "_scalar_cell": dict(kind="scalar", ns=(100, 200), taus=(0.5,), epsilons=(0.4,)),
+            "_finite_cell": dict(kind="finite", ns=(60,), taus=(0.25,), epsilons=(0.5,),
+                                 Ms=(2, 4)),
+            "_convex_cell": dict(kind="convex", ns=(50,), taus=(1.0,), epsilons=(2.0,),
+                                 ds=(2, 3), iterations=5),
+        }
+        for name, grid in sweeps.items():
+            calls = []
+
+            def wrapped(*args, cell=getattr(harness, name), calls=calls):
+                calls.append(args[1:])
+                return cell(*args)
+
+            monkeypatch.setattr(harness, name, wrapped)
+            table = run_sweep(SweepConfig(replicates=2, threads=threads, **grid))
+            assert len(calls) == len(set(calls)) == len(table.rows) == 2
+            assert all(row.wall_time > 0.0 for row in table.rows)
 
     def test_seed_changes_output(self):
         base = run_sweep(SweepConfig(**SCALAR_CFG))
@@ -306,12 +363,6 @@ class TestSweepStatistics:
         assert row.delta == pytest.approx(1.0 / 300 ** 2)
         assert row.regime in ("privacy", "statistical", "mixed")
         assert row.mean_excess >= 0.0
-
-    def test_filter_selects_rows(self):
-        table = RateTable([make_row(n=10, regime="privacy"),
-                           make_row(n=20, regime="statistical")])
-        assert [r.n for r in table.filter(regime="privacy").rows] == [10]
-        assert [r.n for r in table.filter(n=20).rows] == [20]
 
 
 class TestAudits:

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 from dpcvar.estimators import (
     _BLOCK_ELEMENTS,
-    ConvexLearnerConfig,
     ConvexProblem,
     FiniteClassInstance,
     private_convex_cvar,
@@ -237,7 +236,7 @@ def _affine_and_general_agree(n, d, tau_v, iterations, eps, seed):
         problem, data, calls = _linear_problem(n, d, tau_v, seed, affine)
         reports[affine] = private_convex_cvar(
             problem, data, TailMass(tau_v), PrivacyBudget(eps, 1.0 / n**2),
-            RandomStream(seed, 7), ConvexLearnerConfig(iterations=iterations),
+            RandomStream(seed, 7), iterations=iterations,
         )
         assert len(calls) == (1 if affine else iterations)
     fast, general = reports[True], reports[False]

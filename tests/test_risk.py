@@ -16,13 +16,11 @@ import pytest
 from dpcvar.risk import (
     BoundedLossVector,
     DiscreteDistribution,
-    Envelope,
     LossBound,
     TailMass,
     cvar_dual_value,
     cvar_sensitivity_bound,
     empirical_cvar,
-    envelope_empirical_risk,
     lifted_gradient_bound,
     lifted_loss,
     lifted_sensitivity_bound,
@@ -207,20 +205,6 @@ def test_lifted_one_record_bound():
         assert abs(after - before) <= lifted_sensitivity_bound(n, t, B1) + 1e-12
 
 
-def test_envelope_is_cvar_at_inverse_kappa():
-    rng = np.random.default_rng(17)
-    x = vec(rng.random(25))
-    assert envelope_empirical_risk(x, Envelope(1.0)) == pytest.approx(
-        float(x.values.mean()), abs=1e-12
-    )
-    assert envelope_empirical_risk(x, Envelope(4.0)) == pytest.approx(
-        empirical_cvar(x, TailMass(0.25)), abs=1e-12
-    )
-    assert envelope_empirical_risk(x, Envelope(25.0)) == pytest.approx(
-        float(x.values.max()), abs=1e-12
-    )
-
-
 def test_lifted_loss_and_subgradient_cases():
     t = TailMass(0.5)
     # inactive branch, including the tie
@@ -292,8 +276,6 @@ def test_type_validation():
         TailMass(1.0 + 1e-9)
     with pytest.raises(ValueError):
         LossBound(-0.1)
-    with pytest.raises(ValueError):
-        Envelope(0.99)
     with pytest.raises(ValueError):
         BoundedLossVector(np.array([0.5, 1.2]), B1)
     with pytest.raises(ValueError):
