@@ -8,9 +8,11 @@ Three release paths share the LearnerReport shape:
     negative empirical CVaR, with score sensitivity B/(n*tau).
   * `private_convex_cvar`: noisy projected subgradient descent on the lifted
     empirical objective over W x [0, B/lam], releasing only the averaged w
-    (and the threshold lam*u alongside it). A `ConvexProblem` evaluates its
-    losses and subgradients on the whole sample per call; one marked
-    `affine` has its subgradients evaluated once per learner call.
+    (and the threshold lam*u alongside it), with lam and the clipped
+    per-point subgradient terms from `risk.lift_scale` and
+    `risk.lifted_terms`. A `ConvexProblem` evaluates its losses and
+    subgradients on the whole sample per call; one marked `affine` has its
+    subgradients evaluated once per learner call.
 
 Intermediate iterates are never part of a report; only the privatized output
 is.
@@ -41,7 +43,9 @@ from .risk import (
     cvar_rows,
     cvar_sensitivity_bound,
     empirical_cvar,
+    lift_scale,
     lifted_gradient_bound,
+    lifted_terms,
 )
 
 # Most values one block holds (losses private_finite_class scores, noise
@@ -200,18 +204,6 @@ def _batch_eval(problem: ConvexProblem, name: str, w: np.ndarray, points: Any, s
     return values
 
 
-def _clip_terms(sw: np.ndarray, grad_sq: np.ndarray, lam: float, l_lift: float):
-    """Per-point clipped lifted-gradient terms: (w-coefficient, clip factor, u-part).
-
-    All elementwise, so selecting per point from two evaluations at constant
-    `sw` gives the same bits as one evaluation at the mixed `sw`.
-    """
-    gu = lam * (1.0 - sw)
-    norms = np.sqrt(sw * sw * grad_sq + gu * gu)
-    factors = np.where(norms > l_lift, l_lift / np.maximum(norms, 1e-300), 1.0)
-    return factors * sw, factors, gu
-
-
 def private_convex_cvar(
     problem: ConvexProblem,
     points: Sequence[Any] | np.ndarray,
@@ -224,11 +216,12 @@ def private_convex_cvar(
     """Minimize CVaR over a convex class under (eps, delta)-DP.
 
     Works on the lifted objective lam*u + (1/tau)*(loss - lam*u)_+ over
-    W x [0, B/lam] with lam = sqrt(G*B/D), which balances the threshold
-    direction against the weight directions. Each of the T iterations takes a
-    full-batch lifted subgradient step (per-example contributions defensively
-    clipped at the lifted gradient bound), adds Gaussian noise calibrated by
-    composition to the 2*L/n step sensitivity, and projects back. The step
+    W x [0, B/lam] with lam = `lift_scale(G, B, D)` = sqrt(G*B/D), which
+    balances the threshold direction against the weight directions. Each of
+    the T iterations takes a full-batch lifted subgradient step (per-example
+    contributions defensively clipped at the lifted gradient bound, by
+    `lifted_terms`), adds Gaussian noise calibrated by composition to the
+    2*L/n step sensitivity, and projects back. The step
     size is D_Theta / sqrt(T * (L^2 + (d+1) * sigma^2)), and the release is
     the uniformly averaged w. `iterations = None` runs T = n.
 
@@ -261,10 +254,7 @@ def private_convex_cvar(
     if not (0.0 < budget.delta <= 1.0 / (n * n)):
         raise ValueError(f"delta must lie in (0, n^-2] = (0, {1.0 / (n * n)!r}]")
 
-    if g_lip == 0.0 or b == 0.0:
-        lam = 1.0  # degenerate scale: keep the u-range equal to [0, B]
-    else:
-        lam = math.sqrt(g_lip * b / problem.diameter)
+    lam = lift_scale(g_lip, b, problem.diameter)
     u_max = b / lam
     lift_dim = d + 1
     l_lift = lifted_gradient_bound(g_lip, lam, tau)
@@ -287,8 +277,8 @@ def private_convex_cvar(
     if problem.affine:
         grads = _batch_eval(problem, "subgrad_batch", w, points, (n, d))
         grad_sq = np.einsum("ij,ij->i", grads, grads)
-        tail = _clip_terms(np.full(n, inv_t), grad_sq, lam, l_lift)
-        body = _clip_terms(np.zeros(n), grad_sq, lam, l_lift)
+        tail = lifted_terms(np.full(n, inv_t), grad_sq, lam, l_lift)
+        body = lifted_terms(np.zeros(n), grad_sq, lam, l_lift)
     rows = max(1, _BLOCK_ELEMENTS // lift_dim)
     for lo in range(0, iterations, rows):
         for noise in gaussian_noise(sigma, lift_dim, rng, rows=min(rows, iterations - lo)):
@@ -302,7 +292,7 @@ def private_convex_cvar(
                 grads = _batch_eval(problem, "subgrad_batch", w, points, (n, d))
                 grad_sq = np.einsum("ij,ij->i", grads, grads)
                 sw = np.where(active, inv_t, 0.0)
-                coeff, factors, gu = _clip_terms(sw, grad_sq, lam, l_lift)
+                coeff, factors, gu = lifted_terms(sw, grad_sq, lam, l_lift)
             gw_avg = (grads.T @ coeff) / n
             gu_avg = float(factors @ gu) / n
             w = problem.project(w - step * (gw_avg + noise[:d]))

@@ -60,7 +60,6 @@ from .mechanisms import (
     SensitivityValue,
     exponential_mechanism,
     exponential_mechanism_probs,
-    gaussian_sigma_for_budget,
     stable_stream_id,
 )
 from .risk import (
@@ -68,6 +67,7 @@ from .risk import (
     LossBound,
     TailMass,
     empirical_cvar,
+    lift_scale,
     lifted_gradient_bound,
 )
 # bound here as well because benchmark tracing patches `harness._cvar_rows` by name
@@ -128,8 +128,8 @@ class SweepConfig:
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         for name, grid in (("n", self.ns), ("tau", self.taus), ("eps", self.epsilons),
-                           ("M", self.Ms), ("d", self.ds)):
-            if len(grid) == 0:
+                           ("M", self.Ms), ("d", self.ds), ("delta", self.deltas)):
+            if grid is not None and len(grid) == 0:
                 raise ValueError(f"{name} grid must be nonempty")
         if any(n < 1 for n in self.ns):
             raise ValueError("sample sizes must be >= 1")
@@ -416,23 +416,14 @@ def _convex_cell(
     budget = PrivacyBudget(eps, delta)
     fam = make_linear_family(d, config.diameter, config.lipschitz, bound)
     mu = np.full(d, config.gamma)
-    coef = fam.g0 / math.sqrt(d)
-    shift = fam.shift
-
-    def loss_batch(w: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        return zs[:, 0] * (coef * (zs[:, 1:] @ w) + shift)
-
-    def subgrad_batch(w: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        return (coef * zs[:, 0])[:, None] * zs[:, 1:]
-
     problem = ConvexProblem(
         dim=d,
         diameter=config.diameter,
         lipschitz=config.lipschitz,
         bound=bound,
         project=fam.project,
-        loss_batch=loss_batch,
-        subgrad_batch=subgrad_batch,
+        loss_batch=fam.loss_batch,
+        subgrad_batch=fam.subgrad_batch,
         affine=True,
     )
     excess = np.empty(config.replicates)
@@ -444,12 +435,10 @@ def _convex_cell(
         report = private_convex_cvar(problem, data, tau, budget, stream,
                                      iterations=config.iterations)
         excess[rep] = fam.population_excess(report.output, mu)
-    iterations = config.iterations if config.iterations is not None else n
-    lam = math.sqrt(config.lipschitz * config.bound / config.diameter) \
-        if config.lipschitz > 0.0 and config.bound > 0.0 else 1.0
+    lam = lift_scale(config.lipschitz, config.bound, config.diameter)
     l_lift = lifted_gradient_bound(config.lipschitz, lam, tau)
-    sigma = gaussian_sigma_for_budget(2.0 * l_lift / n, budget, iterations)
-    noise_ratio = sigma * math.sqrt(d + 1) / l_lift
+    # every replicate's report carries the same calibrated sigma
+    noise_ratio = report.noise_scales[0] * math.sqrt(d + 1) / l_lift
     regime = "privacy" if noise_ratio >= 1.0 else (
         "statistical" if noise_ratio <= 1.0 / 3.0 else "mixed"
     )

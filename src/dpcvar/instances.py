@@ -11,10 +11,6 @@ Two finite constructions expose exact optima for the sweep harness:
 The embedding tools turn an ordinary-risk problem into a CVaR problem whose
 population CVaR at tail mass tau equals the ordinary risk exactly: losses
 activate on a Bernoulli(tau) coordinate and vanish on a reserved dummy point.
-
-Finite instances serialize to a versioned plain-text format: one header line
-`dpcvar-instance v1 kind=<kind> key=value ...`, then one `atom <label> <value>
-<prob>` line per atom, floats written with repr (17 significant digits).
 """
 
 from __future__ import annotations
@@ -181,7 +177,6 @@ class EmbeddedInstance:
     loss: Callable[[Any, Any], float]
     tau: TailMass
     bound: LossBound
-    dummy: Any = DUMMY
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probs, dtype=np.float64)
@@ -266,7 +261,9 @@ class LinearLowerFamily:
     Points are sign vectors v in {-1, +1}^d; the loss of w at v is
     (g0/sqrt(d)) * <v, w> + shift with shift = r0/2, where g0 = min{G, B/D}
     and r0 = g0 * D. Values stay in [0, r0] subset [0, B] on the ball of
-    radius D/2 and the gradient norm is exactly g0 <= G.
+    radius D/2 and the gradient norm is exactly g0 <= G. `loss_batch` and
+    `subgrad_batch` evaluate tail-embedded records: rows (t, v) of an
+    (n, 1+d) array, where the activation t in {0, 1} scales the loss.
     """
 
     dim: int
@@ -277,11 +274,13 @@ class LinearLowerFamily:
     r0: float
     shift: float
 
-    def loss(self, w: np.ndarray, v: np.ndarray) -> float:
-        return float((self.g0 / math.sqrt(self.dim)) * (v @ w) + self.shift)
+    def loss_batch(self, w: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """(n,) losses t * ((g0/sqrt(d)) * <v, w> + shift) of the rows (t, v) at w."""
+        return zs[:, 0] * ((self.g0 / math.sqrt(self.dim)) * (zs[:, 1:] @ w) + self.shift)
 
-    def subgrad(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return (self.g0 / math.sqrt(self.dim)) * np.asarray(v, dtype=np.float64)
+    def subgrad_batch(self, w: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """(n, d) gradients t * (g0/sqrt(d)) * v of `loss_batch`, the same at every w."""
+        return ((self.g0 / math.sqrt(self.dim)) * zs[:, 0])[:, None] * zs[:, 1:]
 
     def project(self, w: np.ndarray) -> np.ndarray:
         radius = self.diameter / 2.0
@@ -302,12 +301,6 @@ class LinearLowerFamily:
 
     def population_value(self, w: np.ndarray, mu: np.ndarray) -> float:
         return float((self.g0 / math.sqrt(self.dim)) * (mu @ w) + self.shift)
-
-    def population_minimizer(self, mu: np.ndarray) -> np.ndarray:
-        norm = float(np.linalg.norm(mu))
-        if norm == 0.0:
-            return np.zeros(self.dim)
-        return -(self.diameter / 2.0) * np.asarray(mu, dtype=np.float64) / norm
 
     def population_optimum(self, mu: np.ndarray) -> float:
         norm = float(np.linalg.norm(mu))
@@ -339,110 +332,3 @@ def make_linear_family(
         r0=r0,
         shift=r0 / 2.0,
     )
-
-
-_FORMAT_VERSION = "v1"
-
-
-def _header(kind: str, fields: dict[str, object]) -> str:
-    parts = [f"dpcvar-instance {_FORMAT_VERSION} kind={kind}"]
-    parts += [f"{k}={v!r}" for k, v in fields.items()]
-    return " ".join(parts)
-
-
-def _parse_header(line: str, kind: str) -> dict[str, str]:
-    tokens = line.strip().split()
-    if len(tokens) < 3 or tokens[0] != "dpcvar-instance":
-        raise ValueError(f"not an instance header: {line!r}")
-    if tokens[1] != _FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {tokens[1]!r}")
-    fields = dict(tok.split("=", 1) for tok in tokens[2:])
-    if fields.get("kind") != kind:
-        raise ValueError(f"expected kind={kind}, got {fields.get('kind')!r}")
-    return fields
-
-
-def scalar_pair_to_text(pair: ScalarHardPair) -> str:
-    lines = [
-        _header(
-            "scalar-pair",
-            {
-                "n": pair.n,
-                "tau": pair.tau,
-                "eps": pair.epsilon,
-                "B": pair.bound,
-                "c1": pair.c1,
-                "p": pair.p,
-                "gap": pair.gap,
-            },
-        )
-    ]
-    for label, dist in ((0, pair.p0), (1, pair.p1)):
-        for v, q in zip(dist.values, dist.probs):
-            lines.append(f"atom {label} {float(v)!r} {float(q)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def scalar_pair_from_text(text: str) -> ScalarHardPair:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    fields = _parse_header(lines[0], "scalar-pair")
-    atoms: dict[int, list[tuple[float, float]]] = {0: [], 1: []}
-    for ln in lines[1:]:
-        tag, label, v, q = ln.split()
-        if tag != "atom":
-            raise ValueError(f"unexpected line: {ln!r}")
-        atoms[int(label)].append((float(v), float(q)))
-    return ScalarHardPair(
-        p0=DiscreteDistribution.from_pairs(atoms[0]),
-        p1=DiscreteDistribution.from_pairs(atoms[1]),
-        p=float(fields["p"]),
-        gap=float(fields["gap"]),
-        n=int(fields["n"]),
-        tau=float(fields["tau"]),
-        epsilon=float(fields["eps"]),
-        bound=float(fields["B"]),
-        c1=float(fields["c1"]),
-    )
-
-
-def packing_to_text(inst: PackingInstance) -> str:
-    lines = [
-        _header(
-            "packing",
-            {
-                "M": inst.M,
-                "n": inst.n,
-                "tau": inst.tau,
-                "eps": inst.epsilon,
-                "B": inst.bound,
-                "c0": inst.c0,
-                "p": inst.p,
-                "gap": inst.gap,
-            },
-        )
-    ]
-    for j in range(inst.M):
-        dist = inst.distribution(j)
-        for v, q in zip(dist.values, dist.probs):
-            lines.append(f"atom {j} {float(v)!r} {float(q)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def packing_from_text(text: str) -> PackingInstance:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    fields = _parse_header(lines[0], "packing")
-    inst = PackingInstance(
-        M=int(fields["M"]),
-        p=float(fields["p"]),
-        gap=float(fields["gap"]),
-        n=int(fields["n"]),
-        tau=float(fields["tau"]),
-        epsilon=float(fields["eps"]),
-        bound=float(fields["B"]),
-        c0=float(fields["c0"]),
-    )
-    # atoms are reconstructible from the parameters; validate a few lines
-    for ln in lines[1:3]:
-        if not ln.startswith("atom "):
-            raise ValueError(f"unexpected line: {ln!r}")
-    return inst

@@ -78,10 +78,6 @@ class RandomStream:
             self._gen = np.random.Generator(np.random.PCG64(ss))
         return self._gen
 
-    def substream(self, *parts: object) -> "RandomStream":
-        """Derive an independent stream for a labeled subtask."""
-        return RandomStream(self.seed, stable_stream_id(self.stream_id, *parts))
-
 
 def laplace_noise(scale: float, rng: RandomStream, size: int | None = None):
     """Laplace(0, scale) noise via inverse CDF, one uniform per draw.

@@ -12,13 +12,19 @@ There is one empirical CVaR kernel, `cvar_rows`, which scores every row of an
 (R, n) loss block with one row-wise sort; `empirical_cvar` runs it on a
 one-row view. Sorting beats `np.partition` here on the heavily tied 0/B
 losses the hard instances produce.
+
+The convex learner minimizes the lifted (Rockafellar-Uryasev) objective
+lam*u + (1/tau)*(loss - lam*u)_+ over (w, u): `lift_scale` picks lam,
+`lifted_gradient_bound` bounds the joint subgradient norm, and
+`lifted_terms` gives every point's clipped subgradient terms.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +44,7 @@ class TailMass:
     tau: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.tau, (int, float)) and math.isfinite(self.tau)):
+        if not (isinstance(self.tau, numbers.Real) and math.isfinite(self.tau)):
             raise ValueError(f"tail mass must be a finite number, got {self.tau!r}")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tail mass must lie in (0, 1], got {self.tau}")
@@ -51,7 +57,7 @@ class LossBound:
     b: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.b, (int, float)) and math.isfinite(self.b)):
+        if not (isinstance(self.b, numbers.Real) and math.isfinite(self.b)):
             raise ValueError(f"loss bound must be a finite number, got {self.b!r}")
         if self.b < 0.0:
             raise ValueError(f"loss bound must be nonnegative, got {self.b}")
@@ -115,15 +121,6 @@ class DiscreteDistribution:
         self.values = v
         self.probs = p
 
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[tuple[float, float]]) -> "DiscreteDistribution":
-        vals = [v for v, _ in pairs]
-        ps = [p for _, p in pairs]
-        return cls(vals, ps)
-
-    def mean(self) -> float:
-        return float(self.values @ self.probs)
-
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw `count` iid atoms by inverse CDF over a uniform block.
 
@@ -156,6 +153,10 @@ def cvar_rows(values: np.ndarray, n_tau: float) -> np.ndarray:
     Capped-weight tail average: with k = floor(n*tau), the worst k order
     statistics of a row get full weight and the (k+1)-th gets the fractional
     remainder, all divided by n*tau; when n*tau >= n it is the row mean.
+    It is computed as nxt + (top - k*nxt) / (n*tau), with top the sum of
+    the worst k and nxt the (k+1)-th: on subnormal losses the difference is
+    exact and only the division rounds, where (top + (n*tau - k)*nxt) / (n*tau)
+    underflows (to 0 for the row [5e-324] at n*tau = 0.5).
     """
     n = values.shape[1]
     if n_tau >= n:
@@ -164,25 +165,12 @@ def cvar_rows(values: np.ndarray, n_tau: float) -> np.ndarray:
     ordered = np.sort(values, axis=1)
     top = ordered[:, n - k:].sum(axis=1)
     nxt = ordered[:, n - k - 1]
-    return (top + (n_tau - k) * nxt) / n_tau
+    return nxt + (top - k * nxt) / n_tau
 
 
 def empirical_cvar(sample: BoundedLossVector, tau: TailMass) -> float:
     """Empirical CVaR of the sample at tail mass tau (`cvar_rows` on one row)."""
     return float(cvar_rows(sample.values[None, :], sample.n * tau.tau)[0])
-
-
-def ru_objective(eta: float, sample: BoundedLossVector, tau: TailMass) -> float:
-    """Threshold objective eta + (1/(n*tau)) * sum_i (x_i - eta)_+.
-
-    Minimizing over eta in [0, B] recovers the empirical CVaR; the minimum is
-    attained at a breakpoint (a sample value, or an endpoint of [0, B]).
-    """
-    b = sample.bound.b
-    if not (0.0 <= eta <= b):
-        raise ValueError(f"threshold must lie in [0, {b}], got {eta}")
-    excess = np.maximum(sample.values - eta, 0.0)
-    return float(eta + excess.sum() / (sample.n * tau.tau))
 
 
 def population_cvar_discrete(dist: DiscreteDistribution, tau: TailMass) -> float:
@@ -215,97 +203,37 @@ def cvar_sensitivity_bound(n: int, tau: TailMass, bound: LossBound) -> float:
     return bound.b * min(1.0, 1.0 / (n * tau.tau))
 
 
-def lifted_sensitivity_bound(n: int, tau: TailMass, bound: LossBound) -> float:
-    """Pointwise one-record bound B/(n*tau) for the lifted objective.
-
-    One record contributes at most (1/(n*tau)) * (loss - lam*u)_+ <= B/(n*tau)
-    to the empirical lifted objective, uniformly over the lifted domain.
-    """
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-    return bound.b / (n * tau.tau)
-
-
-def lifted_loss(loss_value: float, u: float, lam: float, tau: TailMass) -> float:
-    """Lifted loss lam*u + (1/tau) * (loss - lam*u)_+ at threshold height u.
-
-    Requires loss in [0, B] scale handled by the caller; the value lies in
-    [0, B/tau] whenever lam*u in [0, B].
-    """
-    if lam <= 0.0:
-        raise ValueError(f"lift scale must be positive, got {lam}")
-    if u < 0.0:
-        raise ValueError(f"lifted coordinate must be nonnegative, got {u}")
-    return lam * u + max(loss_value - lam * u, 0.0) / tau.tau
-
-
-def lifted_subgradient(
-    loss_value: float,
-    loss_subgrad_w: np.ndarray,
-    u: float,
-    lam: float,
-    tau: TailMass,
-    lipschitz: float | None = None,
-) -> tuple[np.ndarray, float]:
-    """Subgradient of the lifted loss in (w, u).
-
-    Uses the active indicator s = 1{loss - lam*u > 0} (the tie takes s = 0):
-    the w-part is s * (1/tau) * loss_subgrad_w and the u-part is
-    lam * (1 - s/tau). If `lipschitz` is given, the input subgradient norm is
-    validated against it.
-    """
-    if lam <= 0.0:
-        raise ValueError(f"lift scale must be positive, got {lam}")
-    g = np.asarray(loss_subgrad_w, dtype=np.float64)
-    if lipschitz is not None:
-        norm = float(np.linalg.norm(g))
-        if norm > lipschitz + 1e-9:
-            raise ValueError(f"loss subgradient norm {norm} exceeds Lipschitz bound {lipschitz}")
-    s = 1.0 if loss_value - lam * u > 0.0 else 0.0
-    t = tau.tau
-    grad_w = (s / t) * g
-    grad_u = lam * (1.0 - s / t)
-    return grad_w, grad_u
-
-
 def lifted_gradient_bound(lipschitz: float, lam: float, tau: TailMass) -> float:
     """Joint norm bound sqrt(G^2 + lam^2)/tau for lifted subgradients."""
     return math.sqrt(lipschitz * lipschitz + lam * lam) / tau.tau
 
 
-def minimize_ru_breakpoints(sample: BoundedLossVector, tau: TailMass) -> tuple[float, float]:
-    """Minimize the threshold objective over its breakpoints.
+def lift_scale(lipschitz: float, bound: float, diameter: float) -> float:
+    """Lift scale lam = sqrt(G*B/D) of the threshold coordinate.
 
-    Candidates are the endpoints {0, B} and the sample values; returns
-    (best_eta, best_value). Used as an independent route to the empirical
-    CVaR, since the piecewise-linear objective attains its minimum at a
-    breakpoint.
+    It balances the threshold direction against the weight directions. When
+    G or B is 0 the scale is 1, which keeps the u-range [0, B/lam] equal to
+    [0, B].
     """
-    candidates = np.concatenate(([0.0, sample.bound.b], sample.values))
-    best_eta = 0.0
-    best_val = math.inf
-    for eta in candidates:
-        val = ru_objective(float(eta), sample, tau)
-        if val < best_val:
-            best_val = val
-            best_eta = float(eta)
-    return best_eta, best_val
+    if lipschitz == 0.0 or bound == 0.0:
+        return 1.0
+    return math.sqrt(lipschitz * bound / diameter)
 
 
-def cvar_dual_value(
-    sample: BoundedLossVector, tau: TailMass, weights: np.ndarray
-) -> float:
-    """Value (1/n) * sum_i q_i * x_i of a capped dual weighting q.
+def lifted_terms(sw: np.ndarray, grad_sq: np.ndarray, lam: float, l_lift: float):
+    """Per-point clipped subgradient terms of the lifted loss.
 
-    Feasible weightings satisfy 0 <= q_i <= 1/tau and (1/n) * sum q_i = 1;
-    the empirical CVaR is the maximum over them.
+    The lifted loss of one point is lam*u + (1/tau)*(loss - lam*u)_+ over
+    (w, u). With the point's active weight sw = 1{loss - lam*u > 0}/tau (the
+    tie takes 0) and its loss subgradient g, where grad_sq = |g|^2, its
+    subgradient is (sw * g, lam * (1 - sw)). Each point's joint norm is
+    clipped to `l_lift` by a factor c <= 1. Returns (c * sw, c, lam * (1 - sw)):
+    the clipped w-part is (c * sw) * g and the clipped u-part c * lam * (1 - sw).
+
+    All elementwise, so selecting per point from two evaluations at constant
+    `sw` gives the same bits as one evaluation at the mixed `sw`.
     """
-    q = np.asarray(weights, dtype=np.float64)
-    t = tau.tau
-    if q.shape != sample.values.shape:
-        raise ValueError("weight vector shape must match the sample")
-    if q.min() < -1e-12 or q.max() > 1.0 / t + 1e-9:
-        raise ValueError("weights violate the cap 0 <= q <= 1/tau")
-    if abs(q.mean() - 1.0) > 1e-9:
-        raise ValueError("weights must average to 1")
-    return float((q * sample.values).mean())
+    gu = lam * (1.0 - sw)
+    norms = np.sqrt(sw * sw * grad_sq + gu * gu)
+    factors = np.where(norms > l_lift, l_lift / np.maximum(norms, 1e-300), 1.0)
+    return factors * sw, factors, gu

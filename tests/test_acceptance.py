@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from cvar_oracles import minimize_ru_breakpoints
 from dpcvar.estimators import private_scalar_cvar
 from dpcvar.harness import (
     SweepConfig,
@@ -34,7 +35,6 @@ from dpcvar.risk import (
     LossBound,
     TailMass,
     empirical_cvar,
-    minimize_ru_breakpoints,
     population_cvar_discrete,
 )
 

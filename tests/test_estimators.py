@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from cvar_oracles import lifted_loss
 from dpcvar.estimators import (
     ConvexProblem,
     FiniteClassInstance,
@@ -27,7 +28,6 @@ from dpcvar.risk import (
     TailMass,
     empirical_cvar,
     lifted_gradient_bound,
-    lifted_loss,
 )
 
 B1 = LossBound(1.0)

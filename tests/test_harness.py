@@ -201,6 +201,8 @@ class TestConfigValidation:
             SweepConfig(kind="scalar", taus=(1.5,)).validate()
         with pytest.raises(ValueError):
             SweepConfig(kind="scalar", epsilons=(0.0,)).validate()
+        with pytest.raises(ValueError, match="delta grid must be nonempty"):
+            SweepConfig(kind="convex", deltas=()).validate()
 
 
 SCALAR_CFG = dict(kind="scalar", ns=(100, 200), taus=(0.5,), epsilons=(0.4,),
@@ -248,6 +250,13 @@ class TestSweepDeterminism:
         expected = rate_csv_text(run_sweep(SweepConfig(**retyped(float, int))))
         assert rate_csv_text(run_sweep(SweepConfig(**typed))) == expected
         assert rate_csv_text(run_sweep(SweepConfig(**base))) == expected
+
+    def test_numpy_integer_tau_and_bound_write_the_csv_of_floats(self):
+        # TailMass and LossBound take any real number, numpy integers included
+        base = dict(kind="scalar", ns=(100,), epsilons=(1.0,), replicates=10, base_seed=5)
+        expected = rate_csv_text(run_sweep(SweepConfig(taus=(1.0,), bound=1.0, **base)))
+        typed = SweepConfig(taus=(np.int64(1),), bound=np.int64(1), **base)
+        assert rate_csv_text(run_sweep(typed)) == expected
 
     def test_convex_csv_bytes_are_pinned(self):
         # written by the learner that evaluated subgradients and drew noise at

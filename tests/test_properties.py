@@ -20,9 +20,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cvar_oracles import minimize_ru_breakpoints
 from dpcvar.estimators import (
     _BLOCK_ELEMENTS,
     ConvexProblem,
@@ -47,7 +48,6 @@ from dpcvar.risk import (
     TailMass,
     cvar_rows,
     empirical_cvar,
-    minimize_ru_breakpoints,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -73,6 +73,8 @@ def loss_blocks(draw, bound=None):
 
 @PROPERTY
 @given(loss_blocks(), taus)
+# a subnormal next order statistic: (n*tau - k) * nxt = 0.5 * 5e-324 underflows to 0
+@example((np.array([[5e-324]]), 5e-324), 0.5)
 def test_cvar_rows_matches_one_row_kernel_and_breakpoint_oracle(block, tau_v):
     values, b = block
     tau = TailMass(tau_v)

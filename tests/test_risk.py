@@ -13,21 +13,18 @@ import math
 import numpy as np
 import pytest
 
+from cvar_oracles import cvar_dual_value, lifted_loss, minimize_ru_breakpoints, ru_objective
 from dpcvar.risk import (
     BoundedLossVector,
     DiscreteDistribution,
     LossBound,
     TailMass,
-    cvar_dual_value,
     cvar_sensitivity_bound,
     empirical_cvar,
+    lift_scale,
     lifted_gradient_bound,
-    lifted_loss,
-    lifted_sensitivity_bound,
-    lifted_subgradient,
-    minimize_ru_breakpoints,
+    lifted_terms,
     population_cvar_discrete,
-    ru_objective,
 )
 
 B1 = LossBound(1.0)
@@ -157,7 +154,6 @@ def test_sensitivity_bound_values():
     assert cvar_sensitivity_bound(2, TailMass(1.0), LossBound(5.0)) == pytest.approx(2.5)
     # capped regime: n*tau <= 1 makes one record worth the whole bound
     assert cvar_sensitivity_bound(3, TailMass(0.25), B1) == pytest.approx(1.0)
-    assert lifted_sensitivity_bound(100, TailMass(0.1), B1) == pytest.approx(0.1, abs=1e-15)
 
 
 def test_sensitivity_attained_exhaustively_small():
@@ -188,7 +184,16 @@ def test_sensitivity_attained_exhaustively_small():
             assert worst == pytest.approx(bound, abs=1e-10)
 
 
+def lifted_grad(loss, g, u, lam, tau, l_lift=math.inf):
+    """One point's (w, u) subgradient of the lifted loss, built from `lifted_terms`
+    the way the learner builds it: w-part coeff * g, u-part factor * gu."""
+    sw = np.array([1.0 / tau.tau if loss - lam * u > 0.0 else 0.0])
+    coeff, factor, gu = lifted_terms(sw, np.array([float(g @ g)]), lam, l_lift)
+    return coeff[0] * g, float(factor[0] * gu[0])
+
+
 def test_lifted_one_record_bound():
+    # one record moves the empirical lifted objective by at most B/(n*tau)
     rng = np.random.default_rng(5)
     for _ in range(200):
         n = int(rng.integers(1, 20))
@@ -202,7 +207,7 @@ def test_lifted_one_record_bound():
         before = np.mean([lifted_loss(v, u, lam, t) for v in losses])
         losses[j] = new
         after = np.mean([lifted_loss(v, u, lam, t) for v in losses])
-        assert abs(after - before) <= lifted_sensitivity_bound(n, t, B1) + 1e-12
+        assert abs(after - before) <= B1.b / (n * tau) + 1e-12
 
 
 def test_lifted_loss_and_subgradient_cases():
@@ -213,30 +218,58 @@ def test_lifted_loss_and_subgradient_cases():
     # active branch doubles the overshoot at tau = 1/2
     assert lifted_loss(0.8, 0.5, 1.0, t) == pytest.approx(0.5 + 2.0 * 0.3)
     g = np.array([0.3, -0.4])
-    gw, gu = lifted_subgradient(0.8, g, 0.5, 1.0, t)
+    gw, gu = lifted_grad(0.8, g, 0.5, 1.0, t)
     np.testing.assert_allclose(gw, 2.0 * g)
     assert gu == pytest.approx(-1.0)
-    gw, gu = lifted_subgradient(0.5, g, 0.5, 1.0, t)  # tie: inactive side
+    gw, gu = lifted_grad(0.5, g, 0.5, 1.0, t)  # tie: inactive side
     np.testing.assert_allclose(gw, 0.0)
     assert gu == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        lifted_subgradient(0.8, g, 0.5, 1.0, t, lipschitz=0.1)
+    # the active joint norm is sqrt(2); clipping at 1 scales both parts by 1/sqrt(2)
+    gw, gu = lifted_grad(0.8, g, 0.5, 1.0, t, l_lift=1.0)
+    np.testing.assert_allclose(gw, math.sqrt(2.0) * g)
+    assert gu == pytest.approx(-1.0 / math.sqrt(2.0))
+    # a batch with mixed active weights gives the bits of per-point constant batches
+    sw = np.array([2.0, 0.0, 2.0, 0.0])
+    grad_sq = np.array([0.25, 0.25, 4.0, 0.01])
+    mixed = lifted_terms(sw, grad_sq, 1.0, 1.0)
+    for got, tail, body in zip(mixed, lifted_terms(np.full(4, 2.0), grad_sq, 1.0, 1.0),
+                               lifted_terms(np.zeros(4), grad_sq, 1.0, 1.0)):
+        np.testing.assert_array_equal(got, np.where(sw > 0.0, tail, body))
+
+
+def test_lift_scale():
+    assert lift_scale(2.0, 8.0, 4.0) == pytest.approx(2.0)
+    assert lift_scale(1.0, 1.0, 1.0) == 1.0
+    # a zero G or B keeps the u-range [0, B/lam] equal to [0, B]
+    assert lift_scale(0.0, 3.0, 2.0) == 1.0
+    assert lift_scale(3.0, 0.0, 2.0) == 1.0
 
 
 def test_lifted_subgradient_norm_bound():
     rng = np.random.default_rng(23)
     for _ in range(200):
         d = int(rng.integers(1, 6))
-        tau = float(rng.uniform(0.05, 1.0))
+        tau = TailMass(float(rng.uniform(0.05, 1.0)))
         lam = float(rng.uniform(0.1, 3.0))
         g_cap = float(rng.uniform(0.1, 2.0))
         g = rng.normal(size=d)
         g *= rng.uniform(0, g_cap) / max(np.linalg.norm(g), 1e-12)
         u = float(rng.uniform(0.0, 1.0 / lam))
         loss = float(rng.random())
-        gw, gu = lifted_subgradient(loss, g, u, lam, TailMass(tau), lipschitz=g_cap)
+        bound = lifted_gradient_bound(g_cap, lam, tau)
+        # unclipped: the exact subgradient already respects the joint bound
+        gw, gu = lifted_grad(loss, g, u, lam, tau)
         joint = math.hypot(float(np.linalg.norm(gw)), gu)
-        assert joint <= lifted_gradient_bound(g_cap, lam, TailMass(tau)) + 1e-12
+        assert joint <= bound + 1e-12
+        np.testing.assert_array_equal(lifted_grad(loss, g, u, lam, tau, bound)[0], gw)
+        # clipped below the bound: the joint norm is at most l_lift, same direction
+        l_lift = float(rng.uniform(0.01, 1.0)) * bound
+        cw, cu = lifted_grad(loss, g, u, lam, tau, l_lift)
+        clipped = math.hypot(float(np.linalg.norm(cw)), cu)
+        assert clipped <= l_lift * (1.0 + 1e-12)
+        assert clipped == pytest.approx(min(joint, l_lift), rel=1e-12)
+        np.testing.assert_allclose(np.append(cw, cu) * joint,
+                                   np.append(gw, gu) * clipped, atol=1e-12)
 
 
 def test_lifted_subgradient_finite_differences():
@@ -254,7 +287,7 @@ def test_lifted_subgradient_finite_differences():
         loss = float(c @ w + a0)
         if abs(loss - lam * u) < 1e-3:  # stay away from the kink
             continue
-        gw, gu = lifted_subgradient(loss, c, u, lam, tau)
+        gw, gu = lifted_grad(loss, c, u, lam, tau)
         direction = rng.normal(size=d + 1)
         direction /= np.linalg.norm(direction)
 
