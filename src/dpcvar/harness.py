@@ -66,12 +66,12 @@ from .risk import (
     BoundedLossVector,
     LossBound,
     TailMass,
-    empirical_cvar,
     lift_scale,
     lifted_gradient_bound,
 )
-# bound here as well because benchmark tracing patches `harness._cvar_rows` by name
-from .risk import cvar_rows as _cvar_rows
+# bound here as well because benchmark tracing patches `harness._cvar_rows` and
+# `harness.empirical_cvar` by name; empirical_cvar has no caller in this module
+from .risk import cvar_rows as _cvar_rows, empirical_cvar  # noqa: F401
 
 SWEEP_KINDS = ("scalar", "finite", "convex")
 AUDIT_KINDS = ("sensitivity-audit", "mech-audit", "embed-check")
@@ -83,6 +83,9 @@ RATE_COLUMNS = (
 SLOPE_COLUMNS = ("variable", "exponent", "intercept", "r2", "n_points")
 
 _SWEEP_VARIABLES = ("n", "tau", "eps", "M", "d")
+
+# largest sensitivity-audit enumeration (samples x records); 5 levels at n_max 8 is 3.1M
+_ENUMERATION_CAP = 2**24
 
 
 @dataclass(frozen=True)
@@ -148,6 +151,12 @@ class SweepConfig:
                                    ("value_levels", self.value_levels, 2)):
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
+        # levels >= 2 here, so capping the power at the cap's bit length keeps the verdict
+        samples = self.value_levels ** min(self.n_max, _ENUMERATION_CAP.bit_length())
+        if self.kind == "sensitivity-audit" and samples * self.n_max > _ENUMERATION_CAP:
+            raise ValueError(f"sensitivity-audit enumeration of {self.value_levels}**n_max "
+                             f"samples x n_max={self.n_max} is over the cap of "
+                             f"{_ENUMERATION_CAP} entries")
         if not 0.0 < self.c0 <= 1.0 or not 0.0 < self.c1 <= 1.0:
             raise ValueError("c0 and c1 must lie in (0, 1]")
         if abs(self.gamma) > 1.0:
@@ -490,28 +499,52 @@ class AuditReport:
         return f"RESULT {status} {details}".rstrip()
 
 
-def _enumerate_samples(levels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # all levels^n samples as rows, plus their base-`levels` digit matrix
-    base = levels.size
-    count = base**n
-    idx = np.arange(count)
-    digits = np.empty((count, n), dtype=np.int64)
-    for pos in range(n):
-        digits[:, n - 1 - pos] = (idx // base**pos) % base
-    return levels[digits], digits
+def _enumerate_samples(levels: np.ndarray, n: int) -> np.ndarray:
+    # all levels^n samples as rows, counting in base `levels` (last record fastest)
+    grids = np.meshgrid(*[levels] * n, indexing="ij", copy=False)
+    return np.stack(grids, axis=-1).reshape(-1, n)
+
+
+def _largest_change(cv: np.ndarray, base: int, n: int) -> tuple[float, tuple[int, int, int]]:
+    """Largest |cv[a] - cv[b]| over samples a, b that differ in one record.
+
+    Returns it with the first witness (k, pos, lvl) in (pos, lvl, k) order:
+    sample k, with record pos set to level lvl, changes cv the most.
+    """
+    cube = cv.reshape((base,) * n)
+    ranges = [float(np.ptp(cube, axis=pos).max()) for pos in range(n)]
+    cell_max = max(ranges)
+    pos = ranges.index(cell_max)
+    for lvl in range(base):
+        diff = np.abs(cube - cube.take([lvl], axis=pos))
+        if diff.max() == cell_max:
+            return cell_max, (int(np.argmax(diff)), pos, lvl)
+    raise AssertionError("unreachable: each fiber attains its minimum at some level")
 
 
 def run_sensitivity_audit(config: SweepConfig) -> AuditReport:
     """Exhaustive one-record sensitivity check of the empirical CVaR.
 
     Enumerates every sample over an evenly spaced value grid for each n up to
-    n_max and each tau, computes all one-record substitutions by base-grid
-    index arithmetic, and compares the observed maximum change against
-    B * min{1, 1/(n*tau)}. The formula is exact, so pass requires agreement
-    within 1e-10 in every cell, with the maximizing pair as witness.
+    n_max and each tau, and compares the largest change from substituting one
+    record against B * min{1, 1/(n*tau)}. The formula is exact, so pass
+    requires agreement within 1e-10 in every cell, with the maximizing pair
+    as witness.
+
+    Counting in base `levels` makes the CVaR vector, reshaped to (levels,)*n,
+    a cube with one axis per record: the samples that differ only in record
+    pos form the fibers along axis pos, and the largest change from
+    substituting that record is the largest max(fiber) - min(fiber). Rounded
+    subtraction is monotone in each argument, so no pair in a fiber has a
+    larger rounded |difference| than its extremes, and the range reduction is
+    bit-equal to comparing every substitution. Only the first axis that
+    attains the cell's maximum is then searched, level by level, for the
+    witness that a search over all axes would report first. Each n is
+    enumerated once, for every tau.
     """
     b = config.bound
     levels = np.linspace(0.0, b, config.value_levels)
+    samples = {n: _enumerate_samples(levels, n) for n in range(1, config.n_max + 1)}
     tol = 1e-10
     worst_dev = 0.0
     top_change = 0.0
@@ -519,21 +552,9 @@ def run_sensitivity_audit(config: SweepConfig) -> AuditReport:
     witness = None
     passed = True
     for tau_v in config.taus:
-        for n in range(1, config.n_max + 1):
-            values, digits = _enumerate_samples(levels, n)
-            cv = _cvar_rows(values, n * tau_v)
-            base = levels.size
-            cell_max = 0.0
-            cell_arg = (0, 0, 0)
-            for pos in range(n):
-                stride = base ** (n - 1 - pos)
-                for lvl in range(base):
-                    nbr = np.arange(cv.size) + (lvl - digits[:, pos]) * stride
-                    diff = np.abs(cv - cv[nbr])
-                    k = int(np.argmax(diff))
-                    if diff[k] > cell_max:
-                        cell_max = float(diff[k])
-                        cell_arg = (k, pos, lvl)
+        for n, values in samples.items():
+            cell_max, (k, pos, lvl) = _largest_change(
+                _cvar_rows(values, n * tau_v), levels.size, n)
             bound_val = b * min(1.0, 1.0 / (n * tau_v))
             dev = abs(cell_max - bound_val)
             if dev > worst_dev:
@@ -541,7 +562,6 @@ def run_sensitivity_audit(config: SweepConfig) -> AuditReport:
             if cell_max > top_change:
                 top_change = cell_max
                 top_bound = bound_val
-                k, pos, lvl = cell_arg
                 witness = (
                     f"n={n} tau={tau_v} sample={values[k].tolist()} "
                     f"record={pos} new_value={levels[lvl]}"
@@ -560,6 +580,11 @@ def run_sensitivity_audit(config: SweepConfig) -> AuditReport:
     )
 
 
+def _rival_cvar(pts: np.ndarray, bound: float, n_tau: float) -> float:
+    """Empirical CVaR of each predictor r != j on a sample of P_j (see `run_mech_audit`)."""
+    return bound * min(int(np.count_nonzero(pts)), n_tau) / n_tau
+
+
 def run_mech_audit(config: SweepConfig) -> AuditReport:
     """Selection-distribution and utility checks for the exponential mechanism.
 
@@ -568,11 +593,18 @@ def run_mech_audit(config: SweepConfig) -> AuditReport:
     softmax must stay within 0.02, and the mean realized score shortfall of
     private selection on a packing instance must respect the analytic envelope
     2*sens*(ln M + 1)/eps over config.trials replicates.
+
+    The shortfall is the best score minus the picked one's, with score -CVaR.
+    A sample of P_j holds only the points 0 and j+1: predictor j loses
+    nothing and every other predictor loses B on the same c points at j+1.
+    So the shortfall is 0 when the pick is j and B*min(c, n*tau)/(n*tau)
+    (`_rival_cvar`) otherwise, one count over the sample and no CVaR kernel.
     """
     eps = config.epsilons[0]
     budget = PrivacyBudget(eps)
     tau = TailMass(config.taus[0])
     n = config.ns[0]
+    n_tau = n * tau.tau
     bound = LossBound(config.bound)
     max_tv = 0.0
     max_shortfall_ratio = 0.0
@@ -600,13 +632,9 @@ def run_mech_audit(config: SweepConfig) -> AuditReport:
             )
             j = int(rep_stream.generator.integers(m))
             pts = inst.distribution(j).sample(n, rep_stream.generator)
-            values = np.array([
-                -empirical_cvar(BoundedLossVector(inst.loss_of(r, pts), bound), tau)
-                for r in range(m)
-            ])
             picked = private_finite_class(cls, pts, tau, budget, rep_stream).output
-            shortfalls[rep] = float(values.max() - values[picked])
-        envelope = 2.0 * (config.bound / (n * tau.tau)) * (math.log(m) + 1.0) / eps
+            shortfalls[rep] = 0.0 if picked == j else _rival_cvar(pts, config.bound, n_tau)
+        envelope = 2.0 * (config.bound / n_tau) * (math.log(m) + 1.0) / eps
         ratio = float(shortfalls.mean()) / envelope
         if ratio > max_shortfall_ratio:
             max_shortfall_ratio = ratio

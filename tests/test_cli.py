@@ -159,6 +159,9 @@ class TestUsageErrors:
         (["embed-check", "--trials", "0"], "trials"),
         (["sensitivity-audit", "--n-max", "0"], "n_max"),
         (["sensitivity-audit", "--levels", "1"], "value_levels"),
+        # 50**8 x 8 and 5**40 x 40 entries: validation rejects them before allocating
+        (["sensitivity-audit", "--levels", "50", "--n-max", "8"], "over the cap"),
+        (["sensitivity-audit", "--n-max", "40"], "over the cap"),
     ])
     def test_out_of_range_option_exits_2(self, argv, message, tmp_path, capsys):
         # each of these once crashed with exit 1 or passed without checking anything
@@ -228,6 +231,25 @@ class TestAuditCommands:
         )
         assert code == 0
         assert stdout.rstrip().splitlines()[-1].startswith("RESULT pass ")
+
+    @pytest.mark.parametrize("argv, stdout", [
+        (["sensitivity-audit", "--seed", "1", "--n-max", "6"],
+         "witness: n=1 tau=0.2 sample=[1.0] record=0 new_value=0.0\n"
+         "RESULT pass max_change=1 bound=1 max_dev=8.32667e-17\n"),
+        (["sensitivity-audit", "--seed", "1", "--n-max", "4", "--levels", "4", "--B", "2.5"],
+         "witness: n=1 tau=0.2 sample=[2.5] record=0 new_value=0.0\n"
+         "RESULT pass max_change=2.5 bound=2.5 max_dev=2.22045e-16\n"),
+        (["mech-audit", "--seed", "2", "--M-grid", "2,8", "--draws", "5000",
+          "--trials", "200", "--B", "1"],
+         "RESULT pass max_tv=0.0197664 tv_limit=0.02 max_shortfall_ratio=0.0251669\n"),
+        (["mech-audit", "--seed", "2", "--M-grid", "2,8", "--draws", "5000",
+          "--trials", "200", "--B", "0.3"],
+         "RESULT pass max_tv=0.0197664 tv_limit=0.02 max_shortfall_ratio=0.0251669\n"),
+    ])
+    def test_audit_stdout_is_pinned(self, argv, stdout, capsys):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert out == stdout
 
     def test_audit_scalar_flag_spellings(self, capsys):
         code, stdout, _ = run_cli(

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from audit_oracles import enumerate_samples, largest_change_by_scan, sensitivity_audit_by_scan
 from dpcvar.harness import (
     RATE_COLUMNS,
     SLOPE_COLUMNS,
     RateRow,
     RateTable,
     SweepConfig,
+    _largest_change,
+    _rival_cvar,
     fit_all_slopes,
     fit_loglog_slope,
     rate_csv_text,
@@ -18,6 +21,9 @@ from dpcvar.harness import (
     run_sweep,
     slope_csv_text,
 )
+from dpcvar.instances import make_packing
+from dpcvar.mechanisms import PrivacyBudget
+from dpcvar.risk import BoundedLossVector, LossBound, TailMass, cvar_rows, empirical_cvar
 
 
 def make_row(n=100, tau=0.1, eps=1.0, M=0, d=0, mean=1.0, regime="privacy",
@@ -410,6 +416,60 @@ class TestAudits:
             key, _, value = pair.partition("=")
             assert key and value
             float(value)
+
+    @pytest.mark.parametrize("bound, levels, n_max, taus", [
+        (1.0, 5, 5, (0.2, 0.5, 1.0)),
+        (2.5, 3, 6, (0.3,)),
+        (0.3, 2, 7, (0.05, 0.7, 1.0)),
+        (0.0, 4, 4, (0.5, 1.0)),
+        (1.0, 7, 4, (1.0,)),
+    ])
+    def test_sensitivity_audit_matches_exhaustive_scan(self, bound, levels, n_max, taus):
+        report = run_audits(SweepConfig(kind="sensitivity-audit", bound=bound,
+                                        value_levels=levels, n_max=n_max, taus=taus))
+        metrics, witness = sensitivity_audit_by_scan(bound, levels, n_max, taus)
+        assert report.metrics == metrics
+        assert report.witness == witness
+        # every cell, not only the witness cell: n = 1 always attains B first
+        grid = np.linspace(0.0, bound, levels)
+        for n in range(1, n_max + 1):
+            values, digits = enumerate_samples(grid, n)
+            for tau_v in taus:
+                cv = cvar_rows(values, n * tau_v)
+                assert _largest_change(cv, levels, n) == largest_change_by_scan(cv, digits, levels)
+
+    @pytest.mark.parametrize("m, n, tau_v, b", [
+        (2, 40, 0.25, 1.0),
+        (8, 37, 0.3, 0.3),
+        (5, 9, 1.0, 2.5),
+        (16, 300, 0.01, 0.7),
+    ])
+    def test_rival_cvar_matches_per_predictor_kernel(self, m, n, tau_v, b):
+        tau, bound = TailMass(tau_v), LossBound(b)
+        inst = make_packing(m, n, tau, PrivacyBudget(1.0), bound)
+        gen = np.random.default_rng(m * n)
+        n_tau = n * tau_v
+        seen = set()
+        for trial in range(60):
+            j = int(gen.integers(m))
+            # c = 0, a c between 0 and floor(n*tau), a c past it, and the packing's own draws
+            c = (0, min(n, int(n_tau) // 2 + 1), n, None)[trial % 4]
+            if c is None:
+                pts = inst.distribution(j).sample(n, gen)
+            else:
+                pts = np.where(np.arange(n) < c, j + 1.0, 0.0)
+                gen.shuffle(pts)
+            c = int(np.count_nonzero(pts))
+            seen.add("zero" if c == 0 else "past" if c > math.floor(n_tau) else "within")
+            rival = _rival_cvar(pts, b, n_tau)
+            for r in range(m):
+                kernel = empirical_cvar(BoundedLossVector(inst.loss_of(r, pts), bound), tau)
+                if r == j:
+                    assert kernel == 0.0
+                else:
+                    assert rival == pytest.approx(kernel, rel=1e-12, abs=0.0)
+        # at tau = 1, n*tau = n and no c lies past floor(n*tau)
+        assert seen == ({"zero", "within"} | ({"past"} if n_tau < n else set()))
 
     def test_sweep_kind_rejected_by_audit_runner(self):
         with pytest.raises(ValueError):
