@@ -48,12 +48,7 @@ from .estimators import (
     private_finite_class,
     private_scalar_cvar,
 )
-from .instances import (
-    EmbeddedInstance,
-    make_linear_family,
-    make_packing,
-    make_scalar_pair,
-)
+from .instances import embedded_table_law, make_linear_family, make_packing, make_scalar_pair
 from .mechanisms import (
     PrivacyBudget,
     RandomStream,
@@ -68,6 +63,7 @@ from .risk import (
     TailMass,
     lift_scale,
     lifted_gradient_bound,
+    population_cvar_discrete,
 )
 # bound here as well because benchmark tracing patches `harness._cvar_rows` and
 # `harness.empirical_cvar` by name; empirical_cvar has no caller in this module
@@ -142,6 +138,10 @@ class SweepConfig:
             raise ValueError("epsilons must be positive")
         if any(m < 2 for m in self.Ms) and self.kind in ("finite", "mech-audit"):
             raise ValueError(f"{self.kind} needs M >= 2")
+        if self.kind == "mech-audit":  # it runs the one (n, tau, eps) cell for every M
+            for name, grid in (("n", self.ns), ("tau", self.taus), ("eps", self.epsilons)):
+                if len(grid) > 1:
+                    raise ValueError(f"mech-audit takes one {name} value, got {len(grid)}")
         if any(d < 1 for d in self.ds):
             raise ValueError("dimensions must be >= 1")
         if self.iterations is not None and self.iterations < 1:
@@ -397,8 +397,7 @@ def _finite_cell(config: SweepConfig, n: int, tau_v: float, eps: float, m: int) 
     budget = PrivacyBudget(eps)
     excess = np.empty(config.replicates)
     for rep, stream in enumerate(_streams(config, "finite", n, tau_v, eps, m)):
-        j = int(stream.generator.integers(m))
-        pts = inst.distribution(j).sample(n, stream.generator)
+        j, pts = inst.draw(n, stream.generator)
         report = private_finite_class(cls, pts, tau, budget, stream)
         excess[rep] = inst.excess_of(report.output, j)
     log2m = math.log(2 * m)
@@ -437,10 +436,7 @@ def _convex_cell(
     )
     excess = np.empty(config.replicates)
     for rep, stream in enumerate(_streams(config, "convex", n, tau_v, eps, d, delta)):
-        gen = stream.generator
-        active = (gen.random(n) < tau_v).astype(np.float64)
-        signs = fam.sample_sign_vectors(mu, n, gen)
-        data = np.concatenate((active[:, None], signs), axis=1)
+        data = fam.sample_embedded(mu, tau, n, stream.generator)
         report = private_convex_cvar(problem, data, tau, budget, stream,
                                      iterations=config.iterations)
         excess[rep] = fam.population_excess(report.output, mu)
@@ -588,11 +584,12 @@ def _rival_cvar(pts: np.ndarray, bound: float, n_tau: float) -> float:
 def run_mech_audit(config: SweepConfig) -> AuditReport:
     """Selection-distribution and utility checks for the exponential mechanism.
 
-    For each M: total variation between the empirical selection frequencies
-    (config.draws draws on a fixed random score vector) and the closed-form
-    softmax must stay within 0.02, and the mean realized score shortfall of
-    private selection on a packing instance must respect the analytic envelope
-    2*sens*(ln M + 1)/eps over config.trials replicates.
+    At the one (n, tau, eps) cell, for each M: total variation between the
+    empirical selection frequencies (config.draws draws on a fixed random
+    score vector) and the closed-form softmax must stay within 0.02, and the
+    mean realized score shortfall of private selection on a packing instance
+    must respect the analytic envelope 2*sens*(ln M + 1)/eps over
+    config.trials replicates.
 
     The shortfall is the best score minus the picked one's, with score -CVaR.
     A sample of P_j holds only the points 0 and j+1: predictor j loses
@@ -600,10 +597,9 @@ def run_mech_audit(config: SweepConfig) -> AuditReport:
     So the shortfall is 0 when the pick is j and B*min(c, n*tau)/(n*tau)
     (`_rival_cvar`) otherwise, one count over the sample and no CVaR kernel.
     """
-    eps = config.epsilons[0]
+    (eps,), (tau_v,), (n,) = config.epsilons, config.taus, config.ns
     budget = PrivacyBudget(eps)
-    tau = TailMass(config.taus[0])
-    n = config.ns[0]
+    tau = TailMass(tau_v)
     n_tau = n * tau.tau
     bound = LossBound(config.bound)
     max_tv = 0.0
@@ -630,8 +626,7 @@ def run_mech_audit(config: SweepConfig) -> AuditReport:
             rep_stream = RandomStream(
                 config.base_seed, stable_stream_id("mech-shortfall", m, rep)
             )
-            j = int(rep_stream.generator.integers(m))
-            pts = inst.distribution(j).sample(n, rep_stream.generator)
+            j, pts = inst.draw(n, rep_stream.generator)
             picked = private_finite_class(cls, pts, tau, budget, rep_stream).output
             shortfalls[rep] = 0.0 if picked == j else _rival_cvar(pts, config.bound, n_tau)
         envelope = 2.0 * (config.bound / n_tau) * (math.log(m) + 1.0) / eps
@@ -657,7 +652,8 @@ def run_embed_check(config: SweepConfig) -> AuditReport:
     """Exactness of the tail embedding on random finite tables.
 
     Draws config.trials random base tables, embeds them at each configured
-    tau, and verifies population CVaR == base expected loss within 1e-12.
+    tau (`embedded_table_law`), and verifies that the population CVaR of the
+    embedded loss equals the base expected loss values @ probs within 1e-12.
     """
     stream = RandomStream(config.base_seed, stable_stream_id("embed-check"))
     gen = stream.generator
@@ -670,9 +666,11 @@ def run_embed_check(config: SweepConfig) -> AuditReport:
         probs /= probs.sum()
         probs[-1] = 1.0 - float(probs[:-1].sum())
         values = gen.random(k) * config.bound
+        base = float(values @ probs)
         for tau_v in config.taus:
-            emb = EmbeddedInstance.from_table(values, probs, TailMass(tau_v), bound)
-            gap = abs(emb.population_cvar(None) - emb.base_expectation(None))
+            tau = TailMass(tau_v)
+            law = embedded_table_law(values, probs, tau, bound)
+            gap = abs(population_cvar_discrete(law, tau) - base)
             if gap > max_gap:
                 max_gap = gap
                 witness = f"trial={trial} tau={tau_v} gap={gap}"

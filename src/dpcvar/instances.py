@@ -8,21 +8,23 @@ Two finite constructions expose exact optima for the sweep harness:
     j is the only zero-CVaR choice under the j-th distribution and every
     wrong choice pays exactly the same gap.
 
-The embedding tools turn an ordinary-risk problem into a CVaR problem whose
+The tail embedding turns an ordinary-risk problem into a CVaR problem whose
 population CVaR at tail mass tau equals the ordinary risk exactly: losses
-activate on a Bernoulli(tau) coordinate and vanish on a reserved dummy point.
+activate on a Bernoulli(tau) coordinate and vanish on a reserved dummy point
+(`embedded_table_law` gives the law for a finite base table). Each instance
+draws its own samples, so the harness rebuilds no instance layout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from .mechanisms import PrivacyBudget
-from .risk import DiscreteDistribution, LossBound, TailMass, population_cvar_discrete
+from .risk import DiscreteDistribution, LossBound, TailMass
 
 
 class _DummyPoint:
@@ -50,11 +52,6 @@ class ScalarHardPair:
     p1: DiscreteDistribution
     p: float
     gap: float
-    n: int
-    tau: float
-    epsilon: float
-    bound: float
-    c1: float
 
     def true_cvar(self, which: int) -> float:
         if which == 0:
@@ -87,9 +84,7 @@ def make_scalar_pair(
     gap = p * b / t
     p0 = DiscreteDistribution([0.0], [1.0])
     p1 = DiscreteDistribution([b, 0.0], [p, 1.0 - p])
-    return ScalarHardPair(
-        p0=p0, p1=p1, p=p, gap=gap, n=n, tau=t, epsilon=budget.epsilon, bound=b, c1=c1
-    )
+    return ScalarHardPair(p0=p0, p1=p1, p=p, gap=gap)
 
 
 @dataclass(frozen=True)
@@ -105,33 +100,29 @@ class PackingInstance:
     M: int
     p: float
     gap: float
-    n: int
-    tau: float
-    epsilon: float
     bound: float
-    c0: float
 
     def distribution(self, j: int) -> DiscreteDistribution:
         if not 0 <= j < self.M:
             raise ValueError(f"distribution index must lie in [0, {self.M}), got {j}")
         return DiscreteDistribution([float(j + 1), 0.0], [self.p, 1.0 - self.p])
 
+    def draw(self, n: int, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+        """A uniform distribution index j, then n iid points of P_j, from rng."""
+        j = int(rng.integers(self.M))
+        return j, self.distribution(j).sample(n, rng)
+
     def loss_of(self, r: int | np.ndarray, points: np.ndarray) -> np.ndarray:
         """Vectorized loss of predictor r over an array of n domain points.
 
-        An int r gives the (n,) loss vector; an index array of length R gives
-        the (R, n) block whose row i holds the losses of predictor r[i].
+        An index array of length R gives the (R, n) block whose row i holds the
+        losses of predictor r[i]; an int r, a 0-d index, gives the (n,) row.
         """
-        if isinstance(r, (int, np.integer)):
-            valid, labels = 0 <= r < self.M, r + 1.0
-        else:
-            idx = np.asarray(r)
-            valid = not idx.size or (0 <= idx.min() and idx.max() < self.M)
-            labels = np.expand_dims(idx + 1.0, -1)
-        if not valid:
+        idx = np.asarray(r)
+        if idx.size and not (0 <= idx.min() and idx.max() < self.M):
             raise ValueError(f"predictor index must lie in [0, {self.M}), got {r}")
         z = np.asarray(points, dtype=np.float64)
-        hit = (z != 0.0) & (z != labels)
+        hit = (z != 0.0) & (z != np.expand_dims(idx + 1.0, -1))
         return np.multiply(hit, self.bound, dtype=np.float64)  # one float temporary, not two
 
     def excess_of(self, r: int, j: int) -> float:
@@ -157,68 +148,28 @@ def make_packing(
     t = tau.tau
     p = c0 * min(t, math.log(M) / (budget.epsilon * n))
     gap = p * bound.b / t
-    return PackingInstance(
-        M=M, p=p, gap=gap, n=n, tau=t, epsilon=budget.epsilon, bound=bound.b, c0=c0
-    )
+    return PackingInstance(M=M, p=p, gap=gap, bound=bound.b)
 
 
-@dataclass
-class EmbeddedInstance:
-    """Tail embedding of an ordinary-risk problem.
+def embedded_table_law(
+    values: Sequence[float], probs: Sequence[float], tau: TailMass, bound: LossBound
+) -> DiscreteDistribution:
+    """Law of the tail-embedded loss t * a(y) of the finite base table a = values.
 
-    Records are pairs (t, y): t ~ Bernoulli(tau) activates the base loss, and
-    y is drawn from the base distribution when active, else the dummy point.
-    The induced loss t * a(w, y) has population CVaR at tail mass tau equal to
-    the base expected loss E[a(w, Y)] exactly.
+    With t ~ Bernoulli(tau) and y ~ probs when active (else the dummy point, loss
+    0), the loss is values[i] w.p. tau * probs[i] and 0 w.p. 1 - tau, so its
+    population CVaR at tail mass tau is the base expected loss values @ probs.
     """
-
-    points: Sequence[Any]
-    probs: np.ndarray
-    loss: Callable[[Any, Any], float]
-    tau: TailMass
-    bound: LossBound
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.ndim != 1 or len(self.points) != p.size or p.size < 1:
-            raise ValueError("points and probs must match and be nonempty")
-        if p.min() < 0.0 or abs(float(p.sum()) - 1.0) > 1e-12:
-            raise ValueError("probs must be a probability vector (sum 1 within 1e-12)")
-        self.probs = p
-
-    @classmethod
-    def from_table(
-        cls, values: Sequence[float], probs: Sequence[float], tau: TailMass, bound: LossBound
-    ) -> "EmbeddedInstance":
-        """Instance whose base loss at any w is a fixed table over the support."""
-        table = np.asarray(values, dtype=np.float64)
-        if table.min() < 0.0 or table.max() > bound.b:
-            raise ValueError(f"table values must lie in [0, {bound.b}]")
-        points = list(range(table.size))
-        return cls(
-            points=points,
-            probs=np.asarray(probs, dtype=np.float64),
-            loss=lambda _w, x: float(table[x]),
-            tau=tau,
-            bound=bound,
-        )
-
-    def base_expectation(self, w: Any) -> float:
-        """Ordinary risk E[a(w, Y)] under the base distribution."""
-        vals = np.array([self.loss(w, x) for x in self.points], dtype=np.float64)
-        return float(vals @ self.probs)
-
-    def induced_loss_distribution(self, w: Any) -> DiscreteDistribution:
-        """Distribution of the embedded loss t * a(w, y) at a fixed w."""
-        t = self.tau.tau
-        vals = [self.loss(w, x) for x in self.points]
-        values = np.array(vals + [0.0], dtype=np.float64)
-        probs = np.concatenate((t * self.probs, [1.0 - t]))
-        return DiscreteDistribution(values, probs)
-
-    def population_cvar(self, w: Any) -> float:
-        """CVaR at tail mass tau of the embedded loss at w."""
-        return population_cvar_discrete(self.induced_loss_distribution(w), self.tau)
+    table = np.asarray(values, dtype=np.float64)
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim != 1 or table.shape != p.shape or p.size < 1:
+        raise ValueError("values and probs must match and be nonempty")
+    if table.min() < 0.0 or table.max() > bound.b:
+        raise ValueError(f"table values must lie in [0, {bound.b}]")
+    if p.min() < 0.0 or abs(float(p.sum()) - 1.0) > 1e-12:
+        raise ValueError("probs must be a probability vector (sum 1 within 1e-12)")
+    t = tau.tau
+    return DiscreteDistribution(np.append(table, 0.0), np.append(t * p, 1.0 - t))
 
 
 def build_synthetic_cvar_sample(
@@ -239,19 +190,8 @@ def build_synthetic_cvar_sample(
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     active = rng.random(n) < tau.tau
-    out: list[tuple[int, Any]] = []
-    used = 0
-    m = len(ordinary)
-    for i in range(n):
-        if active[i]:
-            if used < m:
-                out.append((1, ordinary[used]))
-                used += 1
-            else:
-                out.append((1, dummy))  # overflow: active but carries no data
-        else:
-            out.append((0, dummy))
-    return out
+    records = iter(ordinary)  # past the last record, active slots overflow onto dummy
+    return [(1, next(records, dummy)) if on else (0, dummy) for on in active.tolist()]
 
 
 @dataclass(frozen=True)
@@ -268,8 +208,6 @@ class LinearLowerFamily:
 
     dim: int
     diameter: float
-    lipschitz: float
-    bound: float
     g0: float
     r0: float
     shift: float
@@ -289,15 +227,20 @@ class LinearLowerFamily:
             return w
         return w * (radius / norm)
 
-    def sample_sign_vectors(
-        self, mu: np.ndarray, count: int, rng: np.random.Generator
+    def sample_embedded(
+        self, mu: np.ndarray, tau: TailMass, n: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """iid sign vectors with coordinatewise means mu in [-1, 1]^d."""
+        """n iid tail-embedded records: the (n, 1+d) rows (t, v).
+
+        The n activations t ~ Bernoulli(tau) are drawn first, then the sign
+        vectors v with coordinatewise means mu in [-1, 1]^d.
+        """
         mu = np.asarray(mu, dtype=np.float64)
         if mu.shape != (self.dim,) or np.abs(mu).max() > 1.0:
             raise ValueError("mu must be a d-vector with entries in [-1, 1]")
-        u = rng.random((count, self.dim))
-        return np.where(u < (1.0 + mu) / 2.0, 1.0, -1.0)
+        active = (rng.random(n) < tau.tau).astype(np.float64)
+        signs = np.where(rng.random((n, self.dim)) < (1.0 + mu) / 2.0, 1.0, -1.0)
+        return np.concatenate((active[:, None], signs), axis=1)
 
     def population_value(self, w: np.ndarray, mu: np.ndarray) -> float:
         return float((self.g0 / math.sqrt(self.dim)) * (mu @ w) + self.shift)
@@ -323,12 +266,4 @@ def make_linear_family(
         raise ValueError(f"Lipschitz constant must be nonnegative, got {lipschitz!r}")
     g0 = min(lipschitz, bound.b / diameter)
     r0 = g0 * diameter
-    return LinearLowerFamily(
-        dim=d,
-        diameter=diameter,
-        lipschitz=lipschitz,
-        bound=bound.b,
-        g0=g0,
-        r0=r0,
-        shift=r0 / 2.0,
-    )
+    return LinearLowerFamily(dim=d, diameter=diameter, g0=g0, r0=r0, shift=r0 / 2.0)

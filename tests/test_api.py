@@ -7,7 +7,6 @@ PUBLIC_API = [
     "ConvexProblem",
     "DUMMY",
     "DiscreteDistribution",
-    "EmbeddedInstance",
     "FiniteClassInstance",
     "LearnerReport",
     "LinearLowerFamily",
@@ -20,6 +19,7 @@ PUBLIC_API = [
     "TailMass",
     "build_synthetic_cvar_sample",
     "cvar_sensitivity_bound",
+    "embedded_table_law",
     "empirical_cvar",
     "exponential_mechanism",
     "exponential_mechanism_probs",

@@ -162,6 +162,10 @@ class TestUsageErrors:
         # 50**8 x 8 and 5**40 x 40 entries: validation rejects them before allocating
         (["sensitivity-audit", "--levels", "50", "--n-max", "8"], "over the cap"),
         (["sensitivity-audit", "--n-max", "40"], "over the cap"),
+        # mech-audit runs one (n, tau, eps) cell; a longer grid was read only at its head
+        (["mech-audit", "--n-grid", "200,5"], "one n value"),
+        (["mech-audit", "--tau-grid", "0.25,0.001"], "one tau value"),
+        (["mech-audit", "--eps-grid", "0.5,1000"], "one eps value"),
     ])
     def test_out_of_range_option_exits_2(self, argv, message, tmp_path, capsys):
         # each of these once crashed with exit 1 or passed without checking anything

@@ -279,6 +279,19 @@ class TestSweepDeterminism:
             "0.088884326546823461,0.0037088524591759315,privacy,31\n"
         )
 
+    def test_convex_sample_draws_are_pinned(self):
+        # at tau = 1 and gamma = 1 every record is (1, +1, ..., +1) whatever the
+        # uniforms, so the pin above cannot see the data draws; this cell can
+        cfg = SweepConfig(kind="convex", ns=(500,), taus=(0.3,), epsilons=(2.5,),
+                          ds=(2, 3), replicates=2, iterations=30, gamma=0.4, base_seed=5)
+        assert rate_csv_text(run_sweep(cfg)) == (
+            "kind,n,tau,eps,delta,M,d,B,G,D,reps,mean_excess,stderr,regime,seed\n"
+            "convex,500,0.29999999999999999,2.5,3.9999999999999998e-06,0,2,1,1,1,2,"
+            "0.22466319748537572,0.030293676281192835,mixed,5\n"
+            "convex,500,0.29999999999999999,2.5,3.9999999999999998e-06,0,3,1,1,1,2,"
+            "0.19425969928874459,0.00018570587736760347,privacy,5\n"
+        )
+
     def test_scalar_csv_bytes_are_pinned(self):
         # written by the per-kind sweeps that each built their own streams and rows
         cfg = SweepConfig(kind="scalar", ns=(100, 1000), taus=(0.1, 0.5),
@@ -405,6 +418,17 @@ class TestAudits:
         report = run_audits(cfg)
         assert report.passed
         assert dict(report.metrics)["max_abs_gap"] <= 1e-12
+
+    @pytest.mark.parametrize("seed, gap", [
+        (0, "2.220446049250313e-16"),
+        (1, "2.220446049250313e-16"),
+        (2, "1.1102230246251565e-16"),
+    ])
+    def test_embed_check_gap_is_pinned(self, seed, gap):
+        # captured before embed-check moved to `embedded_table_law`
+        report = run_audits(SweepConfig(kind="embed-check", trials=100,
+                                        taus=(0.05, 0.3, 1.0), base_seed=seed))
+        assert repr(dict(report.metrics)["max_abs_gap"]) == gap
 
     def test_result_line_is_machine_greppable(self):
         report = run_audits(SweepConfig(kind="embed-check", trials=5, base_seed=1))

@@ -9,8 +9,8 @@ import pytest
 
 from dpcvar.instances import (
     DUMMY,
-    EmbeddedInstance,
     build_synthetic_cvar_sample,
+    embedded_table_law,
     make_linear_family,
     make_packing,
     make_scalar_pair,
@@ -58,8 +58,8 @@ def test_scalar_pair_rejects_bad_constants():
 
 
 def test_packing_excess_matches_population_cvar():
-    inst = make_packing(M=6, n=50, tau=TailMass(0.2), budget=PrivacyBudget(0.5), bound=B1)
-    tau = TailMass(inst.tau)
+    tau = TailMass(0.2)
+    inst = make_packing(M=6, n=50, tau=tau, budget=PrivacyBudget(0.5), bound=B1)
     for j in range(inst.M):
         dist = inst.distribution(j)
         pops = []
@@ -102,6 +102,16 @@ def test_packing_int_index_equals_one_row_block():
             inst.loss_of(bad, pts)
 
 
+def test_packing_draw_is_index_then_sample():
+    inst = make_packing(M=7, n=30, tau=TailMass(0.5), budget=PrivacyBudget(1.0), bound=B1)
+    for seed in range(5):
+        j, pts = inst.draw(30, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        want_j = int(rng.integers(inst.M))
+        assert j == want_j
+        assert pts.tobytes() == inst.distribution(want_j).sample(30, rng).tobytes()
+
+
 def test_packing_requires_two_predictors():
     with pytest.raises(ValueError):
         make_packing(M=1, n=10, tau=TailMass(0.5), budget=PrivacyBudget(1.0), bound=B1)
@@ -115,19 +125,33 @@ def test_embedding_identity_random_tables():
         raw_p /= raw_p.sum()
         raw_p[-1] = 1.0 - raw_p[:-1].sum()
         values = rng.random(k)
-        tau = float(rng.choice([0.05, 0.3, 1.0]))
-        emb = EmbeddedInstance.from_table(values, raw_p, TailMass(tau), B1)
+        tau = TailMass(float(rng.choice([0.05, 0.3, 1.0])))
+        law = embedded_table_law(values, raw_p, tau, B1)
         base = float(np.dot(values, raw_p))
-        assert emb.base_expectation(None) == pytest.approx(base, abs=1e-12)
-        assert emb.population_cvar(None) == pytest.approx(base, abs=1e-12)
+        assert population_cvar_discrete(law, tau) == pytest.approx(base, abs=1e-12)
 
 
 def test_embedding_induced_distribution_mass():
-    emb = EmbeddedInstance.from_table([0.5, 1.0], [0.25, 0.75], TailMass(0.2), B1)
-    induced = emb.induced_loss_distribution(None)
-    assert float(induced.probs.sum()) == pytest.approx(1.0, abs=1e-12)
-    got = population_cvar_discrete(induced, emb.tau)
+    law = embedded_table_law([0.5, 1.0], [0.25, 0.75], TailMass(0.2), B1)
+    np.testing.assert_array_equal(law.values, [0.5, 1.0, 0.0])
+    np.testing.assert_allclose(law.probs, [0.2 * 0.25, 0.2 * 0.75, 0.8], rtol=1e-15)
+    assert float(law.probs.sum()) == pytest.approx(1.0, abs=1e-12)
+    got = population_cvar_discrete(law, TailMass(0.2))
     assert got == pytest.approx(0.5 * 0.25 + 1.0 * 0.75, abs=1e-12)
+
+
+@pytest.mark.parametrize("values, probs", [
+    ([0.5, 1.0], [1.0]),  # lengths differ
+    ([], []),  # empty
+    ([[0.5]], [[1.0]]),  # not one-dimensional
+    ([0.5, 1.5], [0.5, 0.5]),  # a value above B
+    ([-0.1, 0.5], [0.5, 0.5]),  # a negative value
+    ([0.5, 1.0], [1.5, -0.5]),  # a negative probability
+    ([0.5, 1.0], [0.5, 0.6]),  # probabilities sum past 1
+])
+def test_embedded_table_law_rejects_bad_tables(values, probs):
+    with pytest.raises(ValueError):
+        embedded_table_law(values, probs, TailMass(0.5), B1)
 
 
 def test_synthetic_sample_layout():
@@ -203,9 +227,16 @@ def test_linear_family_sign_sampling():
     fam = make_linear_family(d=3, diameter=1.0, lipschitz=1.0, bound=B1)
     mu = np.array([0.5, -0.5, 0.0])
     rng = np.random.default_rng(4)
-    vs = fam.sample_sign_vectors(mu, 40_000, rng)
-    assert vs.shape == (40_000, 3)
+    rows = fam.sample_embedded(mu, TailMass(0.3), 40_000, rng)
+    assert rows.shape == (40_000, 4)
+    active, vs = rows[:, 0], rows[:, 1:]
+    assert set(np.unique(active)) <= {0.0, 1.0}
+    assert active.mean() == pytest.approx(0.3, abs=0.01)
     assert set(np.unique(vs)) <= {-1.0, 1.0}
     np.testing.assert_allclose(vs.mean(axis=0), mu, atol=0.02)
+    # the activations come first in the stream, then the signs
+    again = np.random.default_rng(4)
+    np.testing.assert_array_equal(active, again.random(40_000) < 0.3)
+    np.testing.assert_array_equal(vs > 0.0, again.random((40_000, 3)) < (1.0 + mu) / 2.0)
     with pytest.raises(ValueError):
-        fam.sample_sign_vectors(np.array([2.0, 0.0, 0.0]), 5, rng)
+        fam.sample_embedded(np.array([2.0, 0.0, 0.0]), TailMass(0.3), 5, rng)

@@ -4,26 +4,26 @@ path of the convex learner.
 
 The row kernel `cvar_rows` is checked against the one-row `empirical_cvar`
 (bitwise) and against the independent breakpoint minimization of the threshold
-objective, then for the order properties of CVaR. Block-scored finite-class
-selection is checked against a per-predictor reference loop that draws from
-the same seeded stream. The convex learner's affine path, which evaluates the
-subgradients once, is checked bitwise against the path that evaluates them at
-every step. The discrete sampler, which compares uniforms against the CDF
-edges and skips the uniforms of one-atom draws, is checked bitwise against a
-binary search over the same stream, and for leaving the stream where drawing
-the uniforms would.
+objective in exact rationals, then for the order properties of CVaR.
+Block-scored finite-class selection is checked against a per-predictor
+reference loop that draws from the same seeded stream. The convex learner's
+affine path, which evaluates the subgradients once, is checked bitwise against
+the path that evaluates them at every step. The discrete sampler, which
+compares uniforms against the CDF edges and skips the uniforms of one-atom
+draws, is checked bitwise against a binary search over the same stream, and
+for leaving the stream where drawing the uniforms would.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cvar_oracles import minimize_ru_breakpoints
 from dpcvar.estimators import (
     _BLOCK_ELEMENTS,
     ConvexProblem,
@@ -75,6 +75,11 @@ def loss_blocks(draw, bound=None):
 @given(loss_blocks(), taus)
 # a subnormal next order statistic: (n*tau - k) * nxt = 0.5 * 5e-324 underflows to 0
 @example((np.array([[5e-324]]), 5e-324), 0.5)
+# an exact tie: the mean 1.5 * 5e-324 rounds half to even, up to 1e-323
+@example((np.array([[5e-324, 1e-323]]), 1e-323), 1.0)
+# a tie off the mean path: nxt = 5e-324 plus round(0.5 * 5e-324) = 0 stays on the odd
+# neighbour 5e-324 of the exact 1.5 * 5e-324, where the oracle rounds up to 1e-323
+@example((np.array([[0.0, 5e-324, 1e-323, 1e-323, 0.0, 5e-324, 5e-324, 0.0]]), 1e-323), 0.5)
 def test_cvar_rows_matches_one_row_kernel_and_breakpoint_oracle(block, tau_v):
     values, b = block
     tau = TailMass(tau_v)
@@ -84,8 +89,24 @@ def test_cvar_rows_matches_one_row_kernel_and_breakpoint_oracle(block, tau_v):
     for row, value in zip(values, got):
         sample = BoundedLossVector(row, LossBound(b))
         assert value == empirical_cvar(sample, tau)
-        _, oracle = minimize_ru_breakpoints(sample, tau)
-        assert abs(value - oracle) <= 1e-12 * b
+        exact = _exact_breakpoint_minimum(row, b, n * tau_v)
+        oracle = float(exact)  # the one rounding, half to even
+        # on subnormal rows the kernel rounds (top - k*nxt)/(n*tau) and then adds nxt
+        # exactly, so at an exact half-step tie it may take the neighbour of the
+        # oracle that is just as near the exact value
+        tie = abs(Fraction(value) - exact) == abs(Fraction(oracle) - exact)
+        assert abs(value - oracle) <= 1e-12 * b or tie
+
+
+def _exact_breakpoint_minimum(row, b, n_tau):
+    """Minimum of eta + sum_i (x_i - eta)_+ / n_tau over the breakpoints {0, B, x_i},
+    in exact rationals."""
+    xs = [Fraction(float(x)) for x in row]
+    scale = Fraction(n_tau)
+    return min(
+        eta + sum(x - eta for x in xs if x > eta) / scale
+        for eta in [Fraction(0), Fraction(b), *xs]
+    )
 
 
 @PROPERTY
@@ -216,7 +237,8 @@ def _linear_problem(n, d, tau_v, seed, affine):
     gen = np.random.default_rng(seed)
     active = (gen.random(n) < tau_v).astype(np.float64)
     mu = gen.uniform(-1.0, 1.0, size=d)
-    data = np.concatenate((active[:, None], fam.sample_sign_vectors(mu, n, gen)), axis=1)
+    signs = np.where(gen.random((n, d)) < (1.0 + mu) / 2.0, 1.0, -1.0)
+    data = np.concatenate((active[:, None], signs), axis=1)
     coef = fam.g0 / np.sqrt(d)
     calls = []
 
