@@ -184,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
                          else "optional path for the text report")
         sub.add_argument("--config", help="flat `flag = value` file; explicit flags win")
         sub.add_argument("--threads", type=int, default=None,
-                         help="parallel cell execution (default 1)")
+                         help="run each cell's replicates on up to K forked worker "
+                              "processes (default 1); output bytes unchanged")
         audit = not entry["out_required"]
         for flag in entry["flags"]:
             field_name, conv = _FLAGS[flag]

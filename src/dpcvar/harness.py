@@ -8,17 +8,19 @@ rates are not reproducible and the reports say so.
 
 `run_sweep` is the one entry point for the scalar, finite and convex sweeps:
 it validates the config, takes the grid product for the kind and hands one
-job per cell to `_run_cells`, which runs them serially or on `threads`
-workers. Every cell follows one skeleton: start its clock, build the
-instance, loop over the replicate streams of `_streams`, and hand the
+job per cell to `_run_cells`, which runs the cells in order. Every cell
+follows one skeleton: start its clock, build the instance, run its loop over
+the replicate streams of `_streams` through `_replicates` (in this process,
+or split across up to `threads` forked worker processes), and hand the
 per-replicate excess to `_row`, which fills the fifteen CSV fields.
 
 Determinism contract: replicate r of a cell keys its random stream by a stable
 hash of (kind, cell parameters, r), so results are independent of execution
 order and byte-identical across runs for a fixed base seed. The parameters are
 keyed by value (tau, eps, delta as Python floats; n, M, d as Python ints), so
-a grid of 1 and one of 1.0, or of numpy scalars, draw the same streams. Wall
-times are recorded per cell but never serialized.
+a grid of 1 and one of 1.0, or of numpy scalars, draw the same streams, and
+the number of worker processes never changes a result. Wall times are
+recorded per cell but never serialized.
 
 Regime labels compare the privacy term against the statistical fluctuation the
 instance family actually realizes (the calibrated tail mass p shrinks with
@@ -32,8 +34,8 @@ against the subgradient scale L with threshold 1.
 from __future__ import annotations
 
 import math
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
@@ -339,6 +341,53 @@ def _streams(config: SweepConfig, kind: str, n, tau, eps, index, delta=None):
         yield RandomStream(config.base_seed, stable_stream_id(*key, rep))
 
 
+def _worker_count(threads: int, replicates: int) -> int:
+    """Worker processes for one cell: at most `threads`, one per replicate and
+    one per CPU this process may run on; 1 (serial) where fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(threads, replicates, cpus))
+
+
+_worker_job: tuple | None = None  # (run, items, workers), set in each worker only
+
+
+def _adopt(run, items: list, workers: int) -> None:
+    global _worker_job
+    _worker_job = (run, items, workers)
+
+
+def _run_chunk(k: int) -> np.ndarray:
+    run, items, workers = _worker_job
+    return run(items[len(items) * k // workers:len(items) * (k + 1) // workers])
+
+
+def _replicates(config: SweepConfig, run, items: list) -> np.ndarray:
+    """`run(items)`, computed on up to `config.threads` forked worker processes.
+
+    `run` loops over a list of replicate items (each holding its own stream)
+    and returns an array whose last axis follows the list. Worker k runs the
+    k-th of `workers` contiguous slices, and the slices' results are joined
+    in order, so the result equals the serial `run(items)` bit for bit.
+    `run` and `items` reach the workers through fork, never pickled: they
+    may close over objects that cannot be pickled, such as wrapped problem
+    callables. Only the slice index and the result array cross the process
+    boundary.
+    """
+    workers = _worker_count(config.threads, len(items))
+    if workers == 1:
+        return run(items)
+    import multiprocessing  # here, so that a serial sweep never imports it
+
+    pool = multiprocessing.get_context("fork").Pool(workers, _adopt, (run, items, workers))
+    with pool:
+        return np.concatenate(pool.map(_run_chunk, range(workers)), axis=-1)
+
+
 def _row(config: SweepConfig, start: float, excess: np.ndarray, regime: str, *,
          kind: str, n: int, tau: float, eps: float, delta: float = 0.0,
          M: int = 0, d: int = 0, G: float = 0.0, D: float = 0.0) -> RateRow:
@@ -366,13 +415,20 @@ def _scalar_cell(config: SweepConfig, n: int, tau_v: float, eps: float) -> RateR
     construction_eps = config.pair_eps if config.pair_eps is not None else eps
     pair = make_scalar_pair(n, tau, PrivacyBudget(construction_eps), bound, config.c1)
     budget = PrivacyBudget(eps)
-    errors = np.empty((2, config.replicates))
-    for which, dist in ((0, pair.p0), (1, pair.p1)):
-        truth = pair.true_cvar(which)
-        for rep, stream in enumerate(_streams(config, "scalar", n, tau_v, eps, which)):
-            sample = BoundedLossVector(dist.sample(n, stream.generator), bound)
+    members = (pair.p0, pair.p1)
+    truths = (pair.true_cvar(0), pair.true_cvar(1))
+
+    def run(items):
+        errors = np.empty(len(items))
+        for i, (which, stream) in enumerate(items):
+            sample = BoundedLossVector(members[which].sample(n, stream.generator), bound)
             report = private_scalar_cvar(sample, tau, budget, stream)
-            errors[which, rep] = abs(report.output - truth)
+            errors[i] = abs(report.output - truths[which])
+        return errors
+
+    items = [(which, stream) for which in (0, 1)
+             for stream in _streams(config, "scalar", n, tau_v, eps, which)]
+    errors = _replicates(config, run, items).reshape(2, config.replicates)
     worst = int(np.argmax(errors.mean(axis=1)))
     privacy_term = config.bound * min(1.0, 1.0 / (n * tau_v)) / eps
     statistical_term = config.bound * math.sqrt(pair.p * (1.0 - pair.p) / n) / tau_v
@@ -395,11 +451,16 @@ def _finite_cell(config: SweepConfig, n: int, tau_v: float, eps: float, m: int) 
     inst = make_packing(m, n, tau, PrivacyBudget(construction_eps), bound, config.c0)
     cls = FiniteClassInstance(num_predictors=m, loss_of=inst.loss_of, bound=bound)
     budget = PrivacyBudget(eps)
-    excess = np.empty(config.replicates)
-    for rep, stream in enumerate(_streams(config, "finite", n, tau_v, eps, m)):
-        j, pts = inst.draw(n, stream.generator)
-        report = private_finite_class(cls, pts, tau, budget, stream)
-        excess[rep] = inst.excess_of(report.output, j)
+
+    def run(streams):
+        excess = np.empty(len(streams))
+        for rep, stream in enumerate(streams):
+            j, pts = inst.draw(n, stream.generator)
+            report = private_finite_class(cls, pts, tau, budget, stream)
+            excess[rep] = inst.excess_of(report.output, j)
+        return excess
+
+    excess = _replicates(config, run, list(_streams(config, "finite", n, tau_v, eps, m)))
     log2m = math.log(2 * m)
     privacy_term = 2.0 * config.bound * log2m / (eps * n * tau_v)
     statistical_term = config.bound * math.sqrt(inst.p * log2m / n) / tau_v
@@ -434,16 +495,23 @@ def _convex_cell(
         subgrad_batch=fam.subgrad_batch,
         affine=True,
     )
-    excess = np.empty(config.replicates)
-    for rep, stream in enumerate(_streams(config, "convex", n, tau_v, eps, d, delta)):
-        data = fam.sample_embedded(mu, tau, n, stream.generator)
-        report = private_convex_cvar(problem, data, tau, budget, stream,
-                                     iterations=config.iterations)
-        excess[rep] = fam.population_excess(report.output, mu)
+
+    def run(streams):
+        # row 0 the excess, row 1 the calibrated sigma, one column per replicate
+        out = np.empty((2, len(streams)))
+        for rep, stream in enumerate(streams):
+            data = fam.sample_embedded(mu, tau, n, stream.generator)
+            report = private_convex_cvar(problem, data, tau, budget, stream,
+                                         iterations=config.iterations)
+            out[:, rep] = fam.population_excess(report.output, mu), report.noise_scales[0]
+        return out
+
+    excess, sigmas = _replicates(
+        config, run, list(_streams(config, "convex", n, tau_v, eps, d, delta)))
     lam = lift_scale(config.lipschitz, config.bound, config.diameter)
     l_lift = lifted_gradient_bound(config.lipschitz, lam, tau)
     # every replicate's report carries the same calibrated sigma
-    noise_ratio = report.noise_scales[0] * math.sqrt(d + 1) / l_lift
+    noise_ratio = sigmas[-1] * math.sqrt(d + 1) / l_lift
     regime = "privacy" if noise_ratio >= 1.0 else (
         "statistical" if noise_ratio <= 1.0 / 3.0 else "mixed"
     )
@@ -451,13 +519,8 @@ def _convex_cell(
                 delta=delta, d=d, G=config.lipschitz, D=config.diameter)
 
 
-def _run_cells(config: SweepConfig, jobs: list[Callable[[], RateRow]]) -> RateTable:
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(lambda job: job(), jobs))
-    else:
-        rows = [job() for job in jobs]
-    return RateTable(rows)
+def _run_cells(jobs: list[Callable[[], RateRow]]) -> RateTable:
+    return RateTable([job() for job in jobs])
 
 
 def run_sweep(config: SweepConfig) -> RateTable:
@@ -477,7 +540,7 @@ def run_sweep(config: SweepConfig) -> RateTable:
         "convex": (_convex_cell, (config.ds, deltas)),
     }[config.kind]
     grid = product(config.ns, config.taus, config.epsilons, *extra)
-    return _run_cells(config, [partial(cell, config, *values) for values in grid])
+    return _run_cells([partial(cell, config, *values) for values in grid])
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ draws its own samples, so the harness rebuilds no instance layout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
@@ -101,11 +101,17 @@ class PackingInstance:
     p: float
     gap: float
     bound: float
+    _laws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def distribution(self, j: int) -> DiscreteDistribution:
+        """P_j, built on first use and then shared by every draw from it."""
         if not 0 <= j < self.M:
             raise ValueError(f"distribution index must lie in [0, {self.M}), got {j}")
-        return DiscreteDistribution([float(j + 1), 0.0], [self.p, 1.0 - self.p])
+        law = self._laws.get(j)
+        if law is None:
+            law = self._laws[j] = DiscreteDistribution([float(j + 1), 0.0],
+                                                       [self.p, 1.0 - self.p])
+        return law
 
     def draw(self, n: int, rng: np.random.Generator) -> tuple[int, np.ndarray]:
         """A uniform distribution index j, then n iid points of P_j, from rng."""

@@ -3,8 +3,9 @@
 Every mechanism draws from a RandomStream: a (seed, stream_id) pair that maps
 to an independent generator. Identical pairs reproduce identical draws
 bit-for-bit on one build, which is what makes the sweep harness byte-stable
-and lets tests replay mechanism outputs exactly. A single stream is stateful
-and must not be shared across threads.
+and lets tests replay mechanism outputs exactly. A single stream is stateful:
+use it from one thread at a time. The sweep harness gives each replicate its
+own stream, so replicates may run in any order or process.
 """
 
 from __future__ import annotations
@@ -163,15 +164,43 @@ def exponential_mechanism_probs(
     return weights / weights.sum()
 
 
+def _mills_ratio(x: float) -> float:
+    """Phi(-x) / phi(x) for x >= 0, the standard normal Mills ratio, without overflow."""
+    if x < 25.0:
+        return math.sqrt(0.5 * math.pi) * math.exp(0.5 * x * x) * math.erfc(x / math.sqrt(2.0))
+    # asymptotic series (1/x) * sum_k (-1)^k (2k-1)!! / x^(2k); at x >= 25 the
+    # first omitted term is below 1e-22 of the sum
+    term, total = 1.0 / x, 0.0
+    for k in range(12):
+        total += term
+        term *= -(2 * k + 1) / (x * x)
+    return total
+
+
+def _gaussian_delta(eps: float, ratio: float) -> float:
+    """Exact delta of one Gaussian release with sigma = ratio * sensitivity at eps.
+
+    Balle & Wang (ICML 2018), Theorem 8: delta = Phi(a - b) - e^eps * Phi(-a - b)
+    with a = 1/(2*ratio) and b = eps*ratio. As (a + b)^2 - (b - a)^2 = 2*eps,
+    e^eps * phi(a + b) = phi(b - a), so the second term is phi(b - a) times
+    the Mills ratio at a + b, which neither overflows nor underflows.
+    """
+    a, b = 0.5 / ratio, eps * ratio
+    density = math.exp(-0.5 * (b - a) * (b - a)) / math.sqrt(2.0 * math.pi)
+    return 0.5 * math.erfc((b - a) / math.sqrt(2.0)) - density * _mills_ratio(a + b)
+
+
 def gaussian_sigma_for_budget(
     l2_sensitivity: float, budget: PrivacyBudget, iterations: int
 ) -> float:
     """Per-release Gaussian scale so `iterations` releases meet the budget.
 
-    A single release uses the classical calibration
-    sigma = S * sqrt(2*ln(1.25/delta)) / eps. For T >= 2 the budget is split
-    by advanced composition: each release runs at eps0 = eps/(2*sqrt(2*T*ln(2/delta)))
-    and delta0 = delta/(2*T), and sigma is the classical scale at (eps0, delta0).
+    A single release uses the analytic Gaussian mechanism: the smallest sigma
+    whose exact delta at eps (`_gaussian_delta`) is at most the budget's
+    delta, found by bisection; its computed delta never exceeds the target.
+    For T >= 2 the budget is split by advanced composition: each release runs
+    at eps0 = eps/(2*sqrt(2*T*ln(2/delta))) and delta0 = delta/(2*T), with the
+    classical scale sigma = S * sqrt(2*ln(1.25/delta0)) / eps0.
     """
     if not (math.isfinite(l2_sensitivity) and l2_sensitivity >= 0.0):
         raise ValueError(f"l2 sensitivity must be nonnegative, got {l2_sensitivity!r}")
@@ -180,9 +209,20 @@ def gaussian_sigma_for_budget(
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     eps, delta = budget.epsilon, budget.delta
-    if iterations == 1:
-        return l2_sensitivity * math.sqrt(2.0 * math.log(1.25 / delta)) / eps
-    t = float(iterations)
-    eps0 = eps / (2.0 * math.sqrt(2.0 * t * math.log(2.0 / delta)))
-    delta0 = delta / (2.0 * t)
-    return l2_sensitivity * math.sqrt(2.0 * math.log(1.25 / delta0)) / eps0
+    if iterations > 1:
+        t = float(iterations)
+        eps0 = eps / (2.0 * math.sqrt(2.0 * t * math.log(2.0 / delta)))
+        delta0 = delta / (2.0 * t)
+        return l2_sensitivity * math.sqrt(2.0 * math.log(1.25 / delta0)) / eps0
+    # the exact delta falls from 1 towards 0 as sigma grows: bracket the target, then bisect
+    lo = hi = math.sqrt(2.0 * math.log(1.25 / delta)) / eps
+    while _gaussian_delta(eps, hi) > delta:
+        hi *= 2.0
+    while _gaussian_delta(eps, lo) <= delta:
+        lo *= 0.5
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _gaussian_delta(eps, mid) > delta:
+            lo = mid
+        else:
+            hi = mid
+    return l2_sensitivity * hi

@@ -1,6 +1,7 @@
 """Sweep harness tests: CSV contracts, determinism, slope fits, audits."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from dpcvar.harness import (
     run_sweep,
     slope_csv_text,
 )
+from dpcvar.estimators import ConvexProblem
 from dpcvar.instances import make_packing
 from dpcvar.mechanisms import PrivacyBudget
 from dpcvar.risk import BoundedLossVector, LossBound, TailMass, cvar_rows, empirical_cvar
@@ -225,6 +227,64 @@ class TestSweepDeterminism:
         serial = run_sweep(SweepConfig(**SCALAR_CFG))
         threaded = run_sweep(SweepConfig(**{**SCALAR_CFG, "threads": 2}))
         assert rate_csv_text(serial) == rate_csv_text(threaded)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes are forked")
+    @pytest.mark.parametrize("kind, grid", [
+        ("finite", dict(ns=(60,), taus=(0.25,), epsilons=(0.5,), Ms=(2, 4))),
+        ("convex", dict(ns=(50,), taus=(1.0, 0.5), epsilons=(2.0,), ds=(2,), iterations=20,
+                        gamma=0.4)),
+    ])
+    def test_worker_processes_do_not_change_output(self, monkeypatch, kind, grid):
+        import dpcvar.harness as harness
+
+        # two workers even on a one-CPU host; an odd replicate count splits unevenly
+        monkeypatch.setattr(harness, "_worker_count", lambda threads, replicates: threads)
+        config = dict(kind=kind, replicates=5, base_seed=4, **grid)
+        serial = rate_csv_text(run_sweep(SweepConfig(**config)))
+        assert rate_csv_text(run_sweep(SweepConfig(threads=2, **config))) == serial
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes are forked")
+    def test_workers_inherit_unpicklable_problem_callables(self, monkeypatch):
+        # benchmark tracing wraps the ConvexProblem callables in local closures
+        import dpcvar.harness as harness
+
+        calls_here = []
+
+        def problem(**kwargs):
+            for key in ("loss_batch", "subgrad_batch"):
+                def traced(*args, fn=kwargs[key]):
+                    calls_here.append(os.getpid())
+                    return fn(*args)
+                kwargs[key] = traced
+            return ConvexProblem(**kwargs)
+
+        monkeypatch.setattr(harness, "ConvexProblem", problem)
+        monkeypatch.setattr(harness, "_worker_count", lambda threads, replicates: threads)
+        config = dict(kind="convex", ns=(50,), taus=(1.0,), epsilons=(2.0,), ds=(2, 3),
+                      replicates=3, iterations=10, base_seed=6)
+        serial = rate_csv_text(run_sweep(SweepConfig(**config)))
+        assert set(calls_here) == {os.getpid()}
+        calls_here.clear()
+        assert rate_csv_text(run_sweep(SweepConfig(threads=2, **config))) == serial
+        assert calls_here == []  # every replicate ran in a worker process
+
+    def test_worker_count_is_capped(self, monkeypatch):
+        # a pure function of its inputs and the host: nothing is started
+        import dpcvar.harness as harness
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert harness._worker_count(10**9, 12) == 4
+        assert harness._worker_count(10**9, 3) == 3
+        assert harness._worker_count(2, 12) == 2
+        assert harness._worker_count(1, 12) == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert harness._worker_count(10**9, 12) == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert harness._worker_count(10**9, 12) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert harness._worker_count(10**9, 12) == 1
 
     def test_rows_independent_of_grid_shape(self):
         joint = run_sweep(SweepConfig(**SCALAR_CFG))

@@ -112,6 +112,18 @@ def test_packing_draw_is_index_then_sample():
         assert pts.tobytes() == inst.distribution(want_j).sample(30, rng).tobytes()
 
 
+def test_packing_builds_each_law_once():
+    args = dict(M=4, n=30, tau=TailMass(0.5), budget=PrivacyBudget(1.0), bound=B1)
+    inst, fresh = make_packing(**args), make_packing(**args)
+    for j in (2, np.int64(2), 0, 3):
+        law = inst.distribution(j)
+        assert law is inst.distribution(int(j))
+        np.testing.assert_array_equal(law.values, [j + 1.0, 0.0])
+        np.testing.assert_array_equal(law.probs, [inst.p, 1.0 - inst.p])
+    # the built laws are no part of the instance's value
+    assert inst == fresh and hash(inst) == hash(fresh) and repr(inst) == repr(fresh)
+
+
 def test_packing_requires_two_predictors():
     with pytest.raises(ValueError):
         make_packing(M=1, n=10, tau=TailMass(0.5), budget=PrivacyBudget(1.0), bound=B1)

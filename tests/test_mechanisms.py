@@ -25,6 +25,7 @@ from dpcvar.mechanisms import (
     laplace_noise,
     stable_stream_id,
 )
+from dpcvar.mechanisms import _gaussian_delta
 
 N_DRAWS = 100_000
 KS_SIGNIFICANCE = 1e-3
@@ -114,12 +115,31 @@ def test_exponential_mechanism_preconditions():
         exponential_mechanism(np.array([]), SensitivityValue(0.5), PrivacyBudget(1.0), rng)
 
 
-def test_sigma_single_release_is_classical():
-    budget = PrivacyBudget(epsilon=1.0, delta=1e-6)
-    got = gaussian_sigma_for_budget(1.0, budget, iterations=1)
-    want = math.sqrt(2.0 * math.log(1.25 / 1e-6))
-    assert got == pytest.approx(want, rel=1e-12)
-    assert gaussian_sigma_for_budget(2.0, budget, 1) == pytest.approx(2.0 * want, rel=1e-12)
+def _exact_gaussian_delta(eps: float, sigma: float):
+    """delta(eps) of one Gaussian release at sensitivity 1, in 60-digit arithmetic.
+
+    Balle & Wang (ICML 2018), Theorem 8: Phi(1/(2s) - eps*s) - e^eps Phi(-1/(2s) - eps*s).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        s = mpmath.mpf(sigma)
+        a, b = 1 / (2 * s), eps * s
+        return mpmath.ncdf(a - b) - mpmath.exp(eps) * mpmath.ncdf(-a - b)
+
+
+@pytest.mark.parametrize("eps, delta", [
+    (0.1, 1e-5), (1.0, 1e-6), (2.5, 1e-8), (10.0, 1e-6), (10.0, 1e-5), (50.0, 1e-10),
+    (1000.0, 1e-6),
+])
+def test_sigma_single_release_meets_exact_delta(eps, delta):
+    budget = PrivacyBudget(epsilon=eps, delta=delta)
+    sigma = gaussian_sigma_for_budget(1.0, budget, iterations=1)
+    exact = _exact_gaussian_delta(eps, sigma)
+    assert exact <= delta * (1.0 + 1e-9)
+    assert _gaussian_delta(eps, sigma) == pytest.approx(float(exact), rel=1e-10, abs=0.0)
+    # and no looser than it must be: 1e-9 less noise already misses the target
+    assert _exact_gaussian_delta(eps, sigma * (1.0 - 1e-9)) > delta
+    assert gaussian_sigma_for_budget(2.0, budget, 1) == pytest.approx(2.0 * sigma, rel=1e-12)
 
 
 def test_sigma_monotonicity():
