@@ -34,6 +34,7 @@ PUBLIC_API = [
     "make_scalar_pair",
     "population_cvar_discrete",
     "private_convex_cvar",
+    "private_convex_cvar_block",
     "private_finite_class",
     "private_scalar_cvar",
     "stable_stream_id",

@@ -7,11 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from convex_oracles import interval_problem
 from cvar_oracles import lifted_loss
 from dpcvar.estimators import (
     ConvexProblem,
     FiniteClassInstance,
+    _distinct_records,
     private_convex_cvar,
+    private_convex_cvar_block,
     private_finite_class,
     private_scalar_cvar,
 )
@@ -126,25 +129,6 @@ def test_finite_selection_total_variation():
         counts[private_finite_class(inst, pts, tau, budget, stream).output] += 1
     tv = 0.5 * float(np.abs(counts / draws - probs).sum())
     assert tv <= 0.02
-
-
-def interval_problem(dim=1, diameter=1.0, lipschitz=1.0, b=1.0):
-    """Absolute-deviation loss |w - z| on a centered ball."""
-
-    def project(w):
-        norm = float(np.linalg.norm(w))
-        radius = diameter / 2.0
-        return w if norm <= radius else w * (radius / norm)
-
-    return ConvexProblem(
-        dim=dim,
-        diameter=diameter,
-        lipschitz=lipschitz,
-        bound=LossBound(b),
-        project=project,
-        loss_batch=lambda w, zs: np.abs(float(w[0]) - zs),
-        subgrad_batch=lambda w, zs: np.sign(float(w[0]) - zs + 1e-300).reshape(-1, 1),
-    )
 
 
 def test_convex_low_noise_reaches_minimum():
@@ -294,6 +278,38 @@ def test_convex_callable_shapes_are_checked(callable_name, bad, message, affine)
             RandomStream(seed=18),
             iterations=3,
         )
+
+
+def test_signed_zero_records_stay_apart_with_their_own_counts():
+    zero, minus_zero, one = (np.float64(x).tobytes() for x in (0.0, -0.0, 1.0))
+    records, counts = _distinct_records(np.array([0.0, -0.0, 0.0, 1.0, -0.0, 0.0]))
+    assert dict(zip((r.tobytes() for r in records), counts)) == {
+        zero: 3.0, minus_zero: 2.0, one: 1.0}
+    rows, row_counts = _distinct_records(np.array([[1.0, 0.0], [1.0, -0.0], [1.0, 0.0]]))
+    assert dict(zip((r.tobytes() for r in rows), row_counts)) == {
+        np.array([1.0, 0.0]).tobytes(): 2.0, np.array([1.0, -0.0]).tobytes(): 1.0}
+    # the learner's callables see both zeros as records of their own
+    seen = []
+    problem = interval_problem()
+    problem.loss_batch = lambda w, zs, f=problem.loss_batch: seen.append(zs.copy()) or f(w, zs)
+    private_convex_cvar(problem, np.array([0.0, -0.0, 0.0]), TailMass(0.5),
+                        PrivacyBudget(epsilon=1.0, delta=1.0 / 9), RandomStream(seed=20),
+                        iterations=2)
+    assert sorted(r.tobytes() for r in seen[0]) == sorted([zero, minus_zero])
+
+
+def test_convex_block_needs_one_sample_of_n_records_per_stream():
+    zs = np.linspace(0.0, 0.5, 10)
+    args = (TailMass(0.5), PrivacyBudget(epsilon=1.0, delta=1e-2))
+    streams = [RandomStream(seed=21, stream_id=r) for r in range(2)]
+    with pytest.raises(ValueError, match="n = 10 records"):
+        private_convex_cvar_block(interval_problem(), [zs, zs[:9]], *args, streams)
+    with pytest.raises(ValueError, match="fewer samples than the 2 streams"):
+        private_convex_cvar_block(interval_problem(), [zs], *args, streams)
+    with pytest.raises(ValueError, match="more samples than the 2 streams"):
+        private_convex_cvar_block(interval_problem(), [zs, zs, zs], *args, streams)
+    with pytest.raises(ValueError, match="numeric array"):
+        private_convex_cvar(interval_problem(), np.array(["a", "b"]), *args, streams[0])
 
 
 def test_private_paths_are_deterministic_per_stream():

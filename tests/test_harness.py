@@ -325,18 +325,19 @@ class TestSweepDeterminism:
         assert rate_csv_text(run_sweep(typed)) == expected
 
     def test_convex_csv_bytes_are_pinned(self):
-        # written by the learner that evaluated subgradients and drew noise at
-        # every step; the affine path and the noise blocks must not move a bit
+        # written by the learner that sums over each sample's distinct records and
+        # steps a cell's replicates as one block; the plain per-record sum of
+        # earlier versions rounds differently (|delta mean_excess| < 5e-16)
         cfg = SweepConfig(kind="convex", ns=(2000,), taus=(1.0,), epsilons=(2.5,),
                           ds=(2, 8, 32), replicates=2, iterations=60, base_seed=31)
         assert rate_csv_text(run_sweep(cfg)) == (
             "kind,n,tau,eps,delta,M,d,B,G,D,reps,mean_excess,stderr,regime,seed\n"
             "convex,2000,1,2.5,2.4999999999999999e-07,0,2,1,1,1,2,"
-            "0.029117032205141002,0.003737574535328136,mixed,31\n"
+            "0.029117032205141113,0.0037375745353281915,mixed,31\n"
             "convex,2000,1,2.5,2.4999999999999999e-07,0,8,1,1,1,2,"
-            "0.046719536740883638,0.008594809966119275,mixed,31\n"
+            "0.046719536740883916,0.008594809966119497,mixed,31\n"
             "convex,2000,1,2.5,2.4999999999999999e-07,0,32,1,1,1,2,"
-            "0.088884326546823461,0.0037088524591759315,privacy,31\n"
+            "0.088884326546823933,0.0037088524591759593,privacy,31\n"
         )
 
     def test_convex_sample_draws_are_pinned(self):
@@ -349,7 +350,7 @@ class TestSweepDeterminism:
             "convex,500,0.29999999999999999,2.5,3.9999999999999998e-06,0,2,1,1,1,2,"
             "0.22466319748537572,0.030293676281192835,mixed,5\n"
             "convex,500,0.29999999999999999,2.5,3.9999999999999998e-06,0,3,1,1,1,2,"
-            "0.19425969928874459,0.00018570587736760347,privacy,5\n"
+            "0.19425969928874465,0.00018570587736760347,privacy,5\n"
         )
 
     def test_scalar_csv_bytes_are_pinned(self):

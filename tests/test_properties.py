@@ -8,7 +8,10 @@ objective in exact rationals, then for the order properties of CVaR.
 Block-scored finite-class selection is checked against a per-predictor
 reference loop that draws from the same seeded stream. The convex learner's
 affine path, which evaluates the subgradients once, is checked bitwise against
-the path that evaluates them at every step. The discrete sampler, which
+the path that evaluates them at every step. The block learner, which sums
+over distinct records weighted by their counts and steps several replicates
+at once, is checked against the one-replicate loop of `convex_oracles` to
+1e-12, and bitwise against itself on one replicate. The discrete sampler, which
 compares uniforms against the CDF edges and skips the uniforms of one-atom
 draws, is checked bitwise against a binary search over the same stream, and
 for leaving the stream where drawing the uniforms would.
@@ -24,11 +27,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dpcvar.estimators as estimators
+from convex_oracles import interval_problem, reference_convex_cvar
 from dpcvar.estimators import (
     _BLOCK_ELEMENTS,
     ConvexProblem,
     FiniteClassInstance,
     private_convex_cvar,
+    private_convex_cvar_block,
     private_finite_class,
 )
 from dpcvar.instances import make_linear_family
@@ -287,6 +293,104 @@ def test_affine_learner_agrees_across_noise_blocks():
     d, iterations = 32, 2100
     assert iterations * (d + 1) > 2 * _BLOCK_ELEMENTS  # the noise spans three blocks
     _affine_and_general_agree(n=25, d=d, tau_v=0.3, iterations=iterations, eps=1.0, seed=11)
+
+
+def _family_problem(d, affine):
+    """The harness's convex problem: the linear lower-bound family on the unit ball."""
+    fam = make_linear_family(d, 1.0, 1.0, LossBound(1.0))
+    return ConvexProblem(dim=d, diameter=1.0, lipschitz=1.0, bound=LossBound(1.0),
+                         project=fam.project, loss_batch=fam.loss_batch,
+                         subgrad_batch=fam.subgrad_batch, affine=affine)
+
+
+def _samples(kind, n, d, tau_v, pools, seed):
+    """One sample of n records per pool size p: each of p drawn records, then
+    n - p more drawn from those, shuffled. So p == n gives n distinct records
+    where the record space allows it, and p == 1 one record n times."""
+    gen = np.random.default_rng(seed)
+    out = []
+    for p in pools:
+        if kind == "interval":
+            pool = gen.uniform(-0.4, 0.4, size=p)
+        else:
+            mu = gen.uniform(-0.9, 0.9, size=d)
+            active = (gen.random(p) < tau_v).astype(np.float64)
+            signs = np.where(gen.random((p, d)) < (1.0 + mu) / 2.0, 1.0, -1.0)
+            pool = np.concatenate((active[:, None], signs), axis=1)
+        picks = np.concatenate((np.arange(p), gen.integers(p, size=n - p)))
+        out.append(pool[gen.permutation(picks)])
+    return out
+
+
+@st.composite
+def convex_blocks(draw):
+    kind = draw(st.sampled_from(["affine", "general", "interval"]))
+    n = draw(st.integers(2, 60))
+    # the family starts at d = 2: at d = 1 its optimum is a boundary point where
+    # every record along mu has loss exactly 0, so a last-bit difference in the
+    # projected iterate flips that record's activity and the two runs part
+    d = 1 if kind == "interval" else draw(st.integers(2, 6))
+    pools = draw(st.lists(st.sampled_from([1, min(2, n), min(3, n), n]), min_size=1,
+                          max_size=5))
+    tau_v = draw(taus)
+    samples = _samples(kind, n, d, tau_v, pools, draw(st.integers(0, 2**32 - 1)))
+    problem = interval_problem() if kind == "interval" else _family_problem(d, kind == "affine")
+    return problem, samples, tau_v
+
+
+@settings(max_examples=40, deadline=None)
+@given(convex_blocks(), st.integers(1, 150), st.floats(min_value=0.05, max_value=50.0),
+       st.integers(0, 2**32 - 1))
+def test_block_learner_matches_the_one_replicate_reference(case, iterations, eps, seed):
+    # the block sums run over distinct records in another order, so agreement is
+    # to rounding, not bitwise; replicates of unequal k land in different blocks
+    problem, samples, tau_v = case
+    n = len(samples[0])
+    tau, budget = TailMass(tau_v), PrivacyBudget(eps, 1.0 / n**2)
+    reports = private_convex_cvar_block(
+        problem, iter(samples), tau, budget,
+        [RandomStream(seed, r) for r in range(len(samples))], iterations=iterations)
+    assert len(reports) == len(samples)
+    for r, (sample, report) in enumerate(zip(samples, reports)):
+        want = reference_convex_cvar(problem, sample, tau, budget, RandomStream(seed, r),
+                                     iterations=iterations)
+        np.testing.assert_allclose(report.output, want.output, rtol=0.0, atol=1e-12)
+        assert abs(report.threshold - want.threshold) <= 1e-12
+        assert report.noise_scales == want.noise_scales
+        assert report.iterations == want.iterations == iterations
+
+
+@pytest.mark.parametrize("kind", ["affine", "general"])
+def test_block_reports_equal_lone_runs_byte_for_byte(monkeypatch, kind):
+    # k = 3 three times (one block of 3), k = 20 twice at n = 40 (a block of 2,
+    # the most that n allows) and k = 1 once; at d = 32 a lone run draws its 700
+    # steps of noise in one chunk, a block of 3 in chunks of 330 steps and a
+    # block of 2 in chunks of 496
+    d, n, iterations = 32, 40, 700
+    problem = _family_problem(d, kind == "affine")
+    pools = [3, 20, 3, 1, 20, 3]
+    samples = _samples(kind, n, d, 0.6, pools, seed=21)
+    assert [len({row.tobytes() for row in sample}) for sample in samples] == pools
+    tau, budget = TailMass(0.6), PrivacyBudget(2.0, 1.0 / n**2)
+    chunks = []
+
+    def noise(sigma, dim, rng, rows=None, draw=estimators.gaussian_noise):
+        chunks.append(rows)
+        return draw(sigma, dim, rng, rows=rows)
+
+    monkeypatch.setattr(estimators, "gaussian_noise", noise)
+    together = private_convex_cvar_block(
+        problem, iter(samples), tau, budget, [RandomStream(9, r) for r in range(len(samples))],
+        iterations=iterations)
+    assert {330, 496} <= set(chunks) and _BLOCK_ELEMENTS // (3 * (d + 1)) == 330
+    for r, sample in enumerate(samples):
+        chunks.clear()
+        alone = private_convex_cvar(problem, sample, tau, budget, RandomStream(9, r),
+                                    iterations=iterations)
+        assert chunks == [iterations]
+        assert alone.output.tobytes() == together[r].output.tobytes()
+        assert alone.threshold == together[r].threshold
+        assert alone.noise_scales == together[r].noise_scales
 
 
 BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.MT19937,
