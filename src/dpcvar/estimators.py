@@ -16,8 +16,9 @@ Three release paths share the LearnerReport shape:
     records contribute identical clipped terms, so the count-weighted sum is
     the same full-batch sum, regrouped, at the same sensitivity 2*L/n, and
     only its rounding changes. A `ConvexProblem` evaluates its losses and
-    subgradients on all distinct records per call; one marked `affine` has
-    its subgradients evaluated once per replicate.
+    subgradients, and projects its iterates, for a whole block of replicates
+    per call, on a leading replicate axis; one marked `affine` has its
+    subgradients evaluated once per block.
 
 Intermediate iterates are never part of a report; only the privatized output
 is.
@@ -55,8 +56,9 @@ from .risk import (
 )
 
 # Most values one block holds (losses private_finite_class scores, noise
-# private_convex_cvar draws): a whole (1024, 640) loss block would add about
-# 10 MiB of transients, 2**15 a few hundred KiB, still amortizing each call.
+# private_convex_cvar draws, samples the sensitivity audit enumerates): a whole
+# (1024, 640) loss block would add about 10 MiB of transients, 2**15 a few
+# hundred KiB, still amortizing each call.
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -177,13 +179,17 @@ def private_finite_class(
 class ConvexProblem:
     """A G-Lipschitz convex loss over a closed domain of diameter D.
 
-    `project` maps any vector to the domain. The losses are evaluated on
-    many records at once: `loss_batch(w, points)` returns the (n,) losses of
-    the n records of `points` (along axis 0) at w, and `subgrad_batch(w,
-    points)` the (n, d) matrix whose row i is a subgradient of record i's
-    loss at w. The learner passes a sample's distinct records, so row i may
-    depend on record i only. `affine = True` states that every loss is affine
-    in w, so its subgradient does not depend on w and the learner evaluates
+    The callables work on R replicates at once, stacked on a leading axis.
+    `project` maps an (R, d) array of points to the domain, row by row.
+    `loss_batch(w, points)` takes the (R, d) iterates and the (R, k, ...)
+    records (k records per replicate, along axis 1) and returns the (R, k)
+    losses: entry (r, i) is the loss of record i of replicate r at w[r].
+    `subgrad_batch(w, points)` returns the (R, k, d) array whose entry (r, i)
+    is a subgradient of that loss at w[r]. The learner passes each
+    replicate's distinct records, so each output row may depend on its own
+    replicate's iterate and records only, and entry (r, i) on record i of
+    replicate r only. `affine = True` states that every loss is affine in w,
+    so its subgradient does not depend on w and the learner evaluates
     `subgrad_batch` once instead of at every step.
     """
 
@@ -205,16 +211,16 @@ class ConvexProblem:
             raise ValueError(f"Lipschitz constant must be nonnegative, got {self.lipschitz!r}")
 
 
-def _stacked_eval(problem: ConvexProblem, name: str, iterates: np.ndarray,
-                  records: list[np.ndarray], shape: tuple) -> np.ndarray:
-    """`problem.<name>(w, recs)` at each replicate's iterate on its records, stacked."""
-    fn = getattr(problem, name)
-    values = [fn(w, recs) for w, recs in zip(iterates, records)]
-    stacked = np.array(values, dtype=np.float64)
-    if stacked.shape[1:] != shape:
-        bad = next(np.shape(v) for v in values if np.shape(v) != shape)
-        raise ValueError(f"{name} must return shape {shape}, got {bad}")
-    return stacked
+def _stacked_eval(problem: ConvexProblem, name: str, w: np.ndarray, records: np.ndarray,
+                  shape: tuple) -> np.ndarray:
+    """`problem.<name>(w, records)` as float64, checked to hold `shape` per replicate."""
+    values = np.asarray(getattr(problem, name)(w, records), dtype=np.float64)
+    stacked = (len(w),) + shape
+    if values.shape != stacked:
+        want, got = ((shape, values.shape[1:]) if values.shape[:1] == stacked[:1]
+                     else (stacked, values.shape))
+        raise ValueError(f"{name} must return shape {want}, got {got}")
+    return values
 
 
 def _distinct_records(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,7 +228,9 @@ def _distinct_records(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Records are compared as raw bytes, so 0.0 and -0.0 stay two records;
     `np.unique(axis=0)` would merge them. The records come in byte order, each
-    taken at its first occurrence, and the counts are float64.
+    taken at its first occurrence, and the counts are float64. A stable
+    argsort of the byte keys finds the runs of equal records; only the sorted
+    keys and the k distinct records are copied.
     """
     pts = np.ascontiguousarray(points)
     if pts.ndim < 1 or pts.dtype.kind not in "biufc":
@@ -231,8 +239,11 @@ def _distinct_records(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need at least one data point")
     n = pts.shape[0]
     keys = pts.reshape(n, -1).view(np.dtype((np.void, pts.nbytes // n)))[:, 0]
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    return pts[first], counts.astype(np.float64)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(starts, append=n).astype(np.float64)
+    return pts[order[starts]], counts
 
 
 def private_convex_cvar_block(
@@ -284,10 +295,13 @@ def private_convex_cvar_block(
     subgradient rows than one plain sample and no replicate's sums see
     another's rows. Each replicate keeps its own stream (its noise is drawn
     after its sample, in blocks of `_BLOCK_ELEMENTS` values across the
-    block), its own iterate, and its own `loss_batch` and `project` calls at
-    every step. The block sums are stacked `np.matmul` products, whose slices
-    equal the one-replicate products bit for bit, so a report does not depend
-    on which replicates share its block.
+    block) and its own iterate. The block's records are stacked once into
+    one (R, k, ...) array, and each step makes one `loss_batch` and one
+    `project` call for the whole block (plus one `subgrad_batch` call when
+    the problem is not affine). The block sums are stacked `np.matmul`
+    products, whose slices equal the one-replicate products bit for bit, and
+    the problem's rows depend on their own replicate only, so a report does
+    not depend on which replicates share its block.
 
     Requires all samples to hold the same n and delta in (0, n^-2]. A
     zero-diameter domain short-circuits: the single feasible w does not
@@ -298,8 +312,9 @@ def private_convex_cvar_block(
     streams = list(rngs)
     d = problem.dim
     if problem.diameter == 0.0:
-        return [LearnerReport(output=problem.project(np.zeros(d)), epsilon=budget.epsilon,
-                              delta=budget.delta, noise_scales=(), iterations=0)
+        return [LearnerReport(output=problem.project(np.zeros((1, d)))[0],
+                              epsilon=budget.epsilon, delta=budget.delta, noise_scales=(),
+                              iterations=0)
                 for _ in streams]
 
     reduced = map(_distinct_records, samples)
@@ -323,11 +338,11 @@ def private_convex_cvar_block(
     sigma = gaussian_sigma_for_budget(2.0 * l_lift / n, budget, iterations)
     step = d_theta / math.sqrt(iterations * (l_lift**2 + lift_dim * sigma**2))
     inv_t = 1.0 / tau.tau
-    start = problem.project(np.zeros(d)).astype(np.float64)
+    start = problem.project(np.zeros((1, d)))[0].astype(np.float64)
     reports: list = [None] * len(streams)
 
     def run(block: list[tuple[int, np.ndarray, np.ndarray]]) -> None:
-        records = [rec for _, rec, _ in block]
+        records = np.stack([rec for _, rec, _ in block])
         block_rngs = [streams[r] for r, _, _ in block]
         shares = np.stack([counts for _, _, counts in block]) / n
         size, k = shares.shape
@@ -341,7 +356,7 @@ def private_convex_cvar_block(
             # which has no w-part, and the (R, k, d+1) change each record makes to
             # it when active
             grads = _stacked_eval(problem, "subgrad_batch", w, records, (k, d))
-            grad_sq = np.array([np.einsum("ij,ij->i", g, g) for g in grads])
+            grad_sq = np.einsum("rij,rij->ri", grads, grads)
             _, factors, gu = lifted_terms(np.zeros((size, k)), grad_sq, lam, l_lift)
             idle = shares * (factors * gu)
             coeff, factors, gu = lifted_terms(np.full((size, k), inv_t), grad_sq, lam, l_lift)
@@ -367,7 +382,7 @@ def private_convex_cvar_block(
                     base, change = lifted_sums()
                 active = losses > (lam * u)[:, None]
                 moves = step * (base + np.matmul(active[:, None, :], change)[:, 0] + z)
-                w = np.array([problem.project(target) for target in w - moves[:, :d]])
+                w = problem.project(w - moves[:, :d])
                 u = np.minimum(np.maximum(u - moves[:, d], 0.0), u_max)
         for i, (r, _, _) in enumerate(block):
             reports[r] = LearnerReport(
@@ -380,7 +395,15 @@ def private_convex_cvar_block(
             )
 
     pending: dict[int, list] = {}
-    for r, (rec, counts) in enumerate(chain([head], reduced)):
+    # Only pending blocks hold records while the next sample is drawn: an
+    # exhausted list iterator drops its list, so head's records go once its
+    # block has run, and r is counted by hand since enumerate keeps its last
+    # item.
+    reduced = chain(iter([head]), reduced)
+    del head
+    r = -1
+    for rec, counts in reduced:
+        r += 1
         if r >= len(streams):
             raise ValueError(f"got more samples than the {len(streams)} streams")
         if counts.sum() != n:
@@ -389,6 +412,7 @@ def private_convex_cvar_block(
         group.append((r, rec, counts))
         if len(group) == max(1, n // counts.size):
             run(pending.pop(counts.size))
+        del rec, group
     for group in pending.values():
         run(group)
     if r + 1 < len(streams):

@@ -11,12 +11,13 @@ it validates the config, takes the grid product for the kind and hands one
 job per cell to `_run_cells`, which runs the cells in order. Every cell
 follows one skeleton: start its clock, build the instance, run its loop over
 the replicate streams of `_streams` through `_replicates` (in this process,
-or split across up to `threads` forked worker processes), and hand the
-per-replicate excess to `_row`, which fills the fifteen CSV fields. A convex
-cell's loop is one `private_convex_cvar_block` call over its streams: each
-replicate's sample is drawn from its own stream and reduced to its distinct
-records before the next is drawn, and replicates with equally many distinct
-records step together as one block.
+or split across up to `threads` bare forked worker processes, each handing
+its slice's results back through a pipe), and hand the per-replicate excess
+to `_row`, which fills the fifteen CSV fields. A convex cell's loop is one
+`private_convex_cvar_block` call over its streams: each replicate's sample
+is drawn from its own stream and reduced to its distinct records before the
+next is drawn, and replicates with equally many distinct records step
+together as one block.
 
 Determinism contract: replicate r of a cell keys its random stream by a stable
 hash of (kind, cell parameters, r), so results are independent of execution
@@ -40,6 +41,8 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -49,6 +52,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .estimators import (
+    _BLOCK_ELEMENTS,
     ConvexProblem,
     FiniteClassInstance,
     private_convex_cvar_block,
@@ -71,6 +75,7 @@ from .risk import (
     BoundedLossVector,
     LossBound,
     TailMass,
+    _sorted_cvar_rows,
     lift_scale,
     lifted_gradient_bound,
     population_cvar_discrete,
@@ -361,39 +366,69 @@ def _worker_count(threads: int, replicates: int) -> int:
     return max(1, min(threads, replicates, cpus))
 
 
-_worker_job: tuple | None = None  # (run, items, workers), set in each worker only
-
-
-def _adopt(run, items: list, workers: int) -> None:
-    global _worker_job
-    _worker_job = (run, items, workers)
-
-
-def _run_chunk(k: int) -> np.ndarray:
-    run, items, workers = _worker_job
-    return run(items[len(items) * k // workers:len(items) * (k + 1) // workers])
-
-
 def _replicates(config: SweepConfig, run, items: list) -> np.ndarray:
     """`run(items)`, computed on up to `config.threads` forked worker processes.
 
     `run` loops over a list of replicate items (each holding its own stream)
-    and returns an array whose last axis follows the list. Worker k runs the
-    k-th of `workers` contiguous slices, and the slices' results are joined
-    in order, so the result equals the serial `run(items)` bit for bit.
+    and returns an array whose last axis follows the list. With `workers`
+    processes, worker k is forked to run the k-th of `workers` contiguous
+    slices; it pickles (True, result) or, if its slice raised, (False,
+    repr(exception)) into its own pipe and ends with `os._exit` (a worker
+    that dies without a result counts as failed). The parent
+    runs no slice itself. It reads the results in slice order and joins
+    them, so the result equals the serial `run(items)` bit for bit, and it
+    raises if any worker failed. Every worker is reaped before this returns
+    or raises; on failure the workers not yet read are killed first.
     `run` and `items` reach the workers through fork, never pickled: they
     may close over objects that cannot be pickled, such as wrapped problem
-    callables. Only the slice index and the result array cross the process
-    boundary.
+    callables. Only the result arrays cross the process boundary.
     """
     workers = _worker_count(config.threads, len(items))
     if workers == 1:
         return run(items)
-    import multiprocessing  # here, so that a serial sweep never imports it
-
-    pool = multiprocessing.get_context("fork").Pool(workers, _adopt, (run, items, workers))
-    with pool:
-        return np.concatenate(pool.map(_run_chunk, range(workers)), axis=-1)
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    results = []
+    try:
+        for k in range(workers):
+            chunk = items[len(items) * k // workers:len(items) * (k + 1) // workers]
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:  # the worker: run one slice, report, and never return
+                status = 1
+                try:
+                    os.close(read_end)
+                    try:
+                        reply = pickle.dumps((True, run(chunk)))
+                    except Exception as exc:
+                        reply = pickle.dumps((False, repr(exc)))
+                    with os.fdopen(write_end, "wb") as pipe:
+                        pipe.write(reply)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children.append((pid, read_end))
+        for k, (_, read_end) in enumerate(children):
+            with os.fdopen(read_end, "rb", closefd=False) as pipe:
+                try:
+                    ok, value = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    ok, value = False, "exited without a result"
+            if not ok:
+                raise RuntimeError(f"replicate worker {k} of {workers} failed: {value}")
+            results.append(value)
+    finally:
+        for k, (pid, read_end) in enumerate(children):
+            os.close(read_end)
+            if k >= len(results):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return np.concatenate(results, axis=-1)
 
 
 def _row(config: SweepConfig, start: float, excess: np.ndarray, regime: str, *,
@@ -564,10 +599,10 @@ class AuditReport:
         return f"RESULT {status} {details}".rstrip()
 
 
-def _enumerate_samples(levels: np.ndarray, n: int) -> np.ndarray:
-    # all levels^n samples as rows, counting in base `levels` (last record fastest)
-    grids = np.meshgrid(*[levels] * n, indexing="ij", copy=False)
-    return np.stack(grids, axis=-1).reshape(-1, n)
+def _enumerate_samples(levels: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
+    # samples lo..hi-1 of all levels^n as rows, counting in base `levels` (last record fastest)
+    powers = levels.size ** np.arange(n - 1, -1, -1)
+    return levels[np.arange(lo, hi)[:, None] // powers % levels.size]
 
 
 def _largest_change(cv: np.ndarray, base: int, n: int) -> tuple[float, tuple[int, int, int]]:
@@ -593,8 +628,9 @@ def run_sensitivity_audit(config: SweepConfig) -> AuditReport:
     Enumerates every sample over an evenly spaced value grid for each n up to
     n_max and each tau, and compares the largest change from substituting one
     record against B * min{1, 1/(n*tau)}. The formula is exact, so pass
-    requires agreement within 1e-10 in every cell, with the maximizing pair
-    as witness.
+    requires agreement within 1e-10 in every cell. The witness is the
+    maximizing pair of the cell that deviates most from its bound (the first
+    such cell, taus outer and n inner).
 
     Counting in base `levels` makes the CVaR vector, reshaped to (levels,)*n,
     a cube with one axis per record: the samples that differ only in record
@@ -604,33 +640,54 @@ def run_sensitivity_audit(config: SweepConfig) -> AuditReport:
     larger rounded |difference| than its extremes, and the range reduction is
     bit-equal to comparing every substitution. Only the first axis that
     attains the cell's maximum is then searched, level by level, for the
-    witness that a search over all axes would report first. Each n is
-    enumerated once, for every tau.
+    witness that a search over all axes would report first.
+
+    Each n is enumerated once for every tau, in chunks of about
+    `_BLOCK_ELEMENTS` values: the mean cells (n*tau >= n) are scored on the
+    chunk's rows in record order, then the chunk is sorted in place once and
+    the other cells are scored from the sorted rows, as `cvar_rows` would.
+    Only the CVaR vectors of one n are held at a time.
     """
     b = config.bound
     levels = np.linspace(0.0, b, config.value_levels)
-    samples = {n: _enumerate_samples(levels, n) for n in range(1, config.n_max + 1)}
+    base = levels.size
+    cells = {}  # (tau index, n) -> (cell_max, (k, pos, lvl))
+    for n in range(1, config.n_max + 1):
+        total = base**n
+        cvs = [np.empty(total) for _ in config.taus]
+        rows = max(1, _BLOCK_ELEMENTS // n)
+        for lo in range(0, total, rows):
+            chunk = _enumerate_samples(levels, n, lo, min(lo + rows, total))
+            for cv, tau_v in zip(cvs, config.taus):
+                if n * tau_v >= n:
+                    cv[lo:lo + len(chunk)] = _cvar_rows(chunk, n * tau_v)
+            chunk.sort(axis=1)
+            for cv, tau_v in zip(cvs, config.taus):
+                if n * tau_v < n:
+                    cv[lo:lo + len(chunk)] = _sorted_cvar_rows(chunk, n * tau_v)
+        for i, cv in enumerate(cvs):
+            cells[i, n] = _largest_change(cv, base, n)
     tol = 1e-10
     worst_dev = 0.0
     top_change = 0.0
     top_bound = 0.0
     witness = None
     passed = True
-    for tau_v in config.taus:
-        for n, values in samples.items():
-            cell_max, (k, pos, lvl) = _largest_change(
-                _cvar_rows(values, n * tau_v), levels.size, n)
+    for i, tau_v in enumerate(config.taus):
+        for n in range(1, config.n_max + 1):
+            cell_max, (k, pos, lvl) = cells[i, n]
             bound_val = b * min(1.0, 1.0 / (n * tau_v))
             dev = abs(cell_max - bound_val)
-            if dev > worst_dev:
-                worst_dev = dev
+            if cell_max > 0.0 and (witness is None or dev > worst_dev):
+                witness = (
+                    f"n={n} tau={tau_v} "
+                    f"sample={_enumerate_samples(levels, n, k, k + 1)[0].tolist()} "
+                    f"record={pos} new_value={levels[lvl]}"
+                )
+            worst_dev = max(worst_dev, dev)
             if cell_max > top_change:
                 top_change = cell_max
                 top_bound = bound_val
-                witness = (
-                    f"n={n} tau={tau_v} sample={values[k].tolist()} "
-                    f"record={pos} new_value={levels[lvl]}"
-                )
             if dev > tol:
                 passed = False
     return AuditReport(

@@ -208,8 +208,9 @@ class LinearLowerFamily:
     (g0/sqrt(d)) * <v, w> + shift with shift = r0/2, where g0 = min{G, B/D}
     and r0 = g0 * D. Values stay in [0, r0] subset [0, B] on the ball of
     radius D/2 and the gradient norm is exactly g0 <= G. `loss_batch` and
-    `subgrad_batch` evaluate tail-embedded records: rows (t, v) of an
-    (n, 1+d) array, where the activation t in {0, 1} scales the loss.
+    `subgrad_batch` evaluate tail-embedded records: rows (t, v) of a
+    (k, 1+d) array, or of an (R, k, 1+d) stack of R replicates' records,
+    where the activation t in {0, 1} scales the loss.
     """
 
     dim: int
@@ -219,19 +220,26 @@ class LinearLowerFamily:
     shift: float
 
     def loss_batch(self, w: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        """(n,) losses t * ((g0/sqrt(d)) * <v, w> + shift) of the rows (t, v) at w."""
-        return zs[:, 0] * ((self.g0 / math.sqrt(self.dim)) * (zs[:, 1:] @ w) + self.shift)
+        """Losses t * ((g0/sqrt(d)) * <v, w> + shift) of the rows (t, v) at w.
+
+        Leading axes broadcast: (R, d) iterates and (R, k, 1+d) rows give
+        (R, k) losses, and a d-vector with (k, 1+d) rows gives (k,).
+        """
+        inner = np.matmul(zs[..., 1:], w[..., None])[..., 0]
+        return zs[..., 0] * ((self.g0 / math.sqrt(self.dim)) * inner + self.shift)
 
     def subgrad_batch(self, w: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        """(n, d) gradients t * (g0/sqrt(d)) * v of `loss_batch`, the same at every w."""
-        return ((self.g0 / math.sqrt(self.dim)) * zs[:, 0])[:, None] * zs[:, 1:]
+        """Gradients t * (g0/sqrt(d)) * v of `loss_batch`, the same at every w:
+        (R, k, d) for (R, k, 1+d) rows, (k, d) for (k, 1+d)."""
+        return ((self.g0 / math.sqrt(self.dim)) * zs[..., 0])[..., None] * zs[..., 1:]
 
     def project(self, w: np.ndarray) -> np.ndarray:
+        """Each row of w (along the last axis) scaled back onto the ball of radius D/2."""
         radius = self.diameter / 2.0
-        norm = math.sqrt(float(w.dot(w)))  # the bits of np.linalg.norm(w), without its dispatch
-        if norm <= radius or norm == 0.0:
-            return w
-        return w * (radius / norm)
+        # the bits of np.linalg.norm of each row, without its dispatch
+        norm = np.sqrt(np.matmul(w[..., None, :], w[..., :, None]))[..., 0]
+        # the radius is positive, so a row inside the ball is scaled by exactly 1
+        return w * (radius / np.maximum(norm, radius))
 
     def sample_embedded(
         self, mu: np.ndarray, tau: TailMass, n: int, rng: np.random.Generator

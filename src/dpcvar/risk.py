@@ -158,11 +158,15 @@ def cvar_rows(values: np.ndarray, n_tau: float) -> np.ndarray:
     exact and only the division rounds, where (top + (n*tau - k)*nxt) / (n*tau)
     underflows (to 0 for the row [5e-324] at n*tau = 0.5).
     """
-    n = values.shape[1]
-    if n_tau >= n:
+    if n_tau >= values.shape[1]:
         return values.mean(axis=1)
+    return _sorted_cvar_rows(np.sort(values, axis=1), n_tau)
+
+
+def _sorted_cvar_rows(ordered: np.ndarray, n_tau: float) -> np.ndarray:
+    """`cvar_rows` of a block whose rows are sorted ascending, for n_tau < n."""
+    n = ordered.shape[1]
     k = int(math.floor(n_tau))
-    ordered = np.sort(values, axis=1)
     top = ordered[:, n - k:].sum(axis=1)
     nxt = ordered[:, n - k - 1]
     return nxt + (top - k * nxt) / n_tau

@@ -48,7 +48,11 @@ def largest_change_by_scan(cv: np.ndarray, digits: np.ndarray,
 
 def sensitivity_audit_by_scan(bound: float, value_levels: int, n_max: int,
                               taus) -> tuple[tuple[tuple[str, float], ...], str | None]:
-    """(metrics, witness) of the sensitivity audit, by a tau-outer, n-inner scan."""
+    """(metrics, witness) of the sensitivity audit, by a tau-outer, n-inner scan.
+
+    The witness is the scanned pair of the first cell whose largest change
+    deviates most from its bound; no cell with no change names one.
+    """
     levels = np.linspace(0.0, bound, value_levels)
     worst_dev = 0.0
     top_change = 0.0
@@ -60,13 +64,15 @@ def sensitivity_audit_by_scan(bound: float, value_levels: int, n_max: int,
             cell_max, (k, pos, lvl) = largest_change_by_scan(
                 cvar_rows(values, n * tau_v), digits, levels.size)
             bound_val = bound * min(1.0, 1.0 / (n * tau_v))
-            worst_dev = max(worst_dev, abs(cell_max - bound_val))
-            if cell_max > top_change:
-                top_change = cell_max
-                top_bound = bound_val
+            dev = abs(cell_max - bound_val)
+            if cell_max > 0.0 and (witness is None or dev > worst_dev):
                 witness = (
                     f"n={n} tau={tau_v} sample={values[k].tolist()} "
                     f"record={pos} new_value={levels[lvl]}"
                 )
+            worst_dev = max(worst_dev, dev)
+            if cell_max > top_change:
+                top_change = cell_max
+                top_bound = bound_val
     metrics = (("max_change", top_change), ("bound", top_bound), ("max_dev", worst_dev))
     return metrics, witness

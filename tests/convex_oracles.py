@@ -26,13 +26,14 @@ from dpcvar.risk import LossBound, TailMass, lift_scale, lifted_gradient_bound, 
 
 
 def interval_problem(dim=1, diameter=1.0, lipschitz=1.0, b=1.0):
-    """Absolute-deviation loss |w - z| of 1-D points z on a centered ball: a
-    problem that is not affine."""
+    """Absolute-deviation loss |w[0] - z| of 1-D points z on a centered ball: a
+    problem that is not affine. Its callables take R replicates stacked on a
+    leading axis: (R, dim) iterates and (R, k) points."""
 
     def project(w):
-        norm = float(np.linalg.norm(w))
+        norm = np.linalg.norm(w, axis=-1, keepdims=True)
         radius = diameter / 2.0
-        return w if norm <= radius else w * (radius / norm)
+        return w * (radius / np.maximum(norm, radius))  # a row inside the ball: w * 1
 
     return ConvexProblem(
         dim=dim,
@@ -40,17 +41,22 @@ def interval_problem(dim=1, diameter=1.0, lipschitz=1.0, b=1.0):
         lipschitz=lipschitz,
         bound=LossBound(b),
         project=project,
-        loss_batch=lambda w, zs: np.abs(float(w[0]) - zs),
-        subgrad_batch=lambda w, zs: np.sign(float(w[0]) - zs + 1e-300).reshape(-1, 1),
+        loss_batch=lambda w, zs: np.abs(w[:, :1] - zs),
+        subgrad_batch=lambda w, zs: np.sign(w[:, :1] - zs + 1e-300)[..., None],
     )
 
 
 def _batch_eval(problem: ConvexProblem, name: str, w: np.ndarray, points: np.ndarray,
                 shape: tuple):
-    values = np.asarray(getattr(problem, name)(w, points), dtype=np.float64)
-    if values.shape != shape:
-        raise ValueError(f"{name} must return shape {shape}, got {values.shape}")
-    return values
+    # one replicate: a stack of one iterate and one sample
+    values = np.asarray(getattr(problem, name)(w[None], points[None]), dtype=np.float64)
+    if values.shape != (1,) + shape:
+        raise ValueError(f"{name} must return shape {(1,) + shape}, got {values.shape}")
+    return values[0]
+
+
+def _project(problem: ConvexProblem, w: np.ndarray) -> np.ndarray:
+    return problem.project(w[None])[0]
 
 
 def reference_convex_cvar(
@@ -73,7 +79,7 @@ def reference_convex_cvar(
 
     if problem.diameter == 0.0:
         return LearnerReport(
-            output=problem.project(np.zeros(d)),
+            output=_project(problem, np.zeros(d)),
             epsilon=budget.epsilon,
             delta=budget.delta,
             noise_scales=(),
@@ -98,7 +104,7 @@ def reference_convex_cvar(
 
     step = d_theta / math.sqrt(iterations * (l_lift**2 + lift_dim * sigma**2))
 
-    w = problem.project(np.zeros(d)).astype(np.float64)
+    w = _project(problem, np.zeros(d)).astype(np.float64)
     u = 0.0
     w_acc = np.zeros(d)
     u_acc = 0.0
@@ -124,7 +130,7 @@ def reference_convex_cvar(
                 coeff, factors, gu = lifted_terms(sw, grad_sq, lam, l_lift)
             gw_avg = (grads.T @ coeff) / n
             gu_avg = float(factors @ gu) / n
-            w = problem.project(w - step * (gw_avg + noise[:d]))
+            w = _project(problem, w - step * (gw_avg + noise[:d]))
             u = min(max(u - step * (gu_avg + float(noise[d])), 0.0), u_max)
 
     return LearnerReport(

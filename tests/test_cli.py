@@ -238,10 +238,10 @@ class TestAuditCommands:
 
     @pytest.mark.parametrize("argv, stdout", [
         (["sensitivity-audit", "--seed", "1", "--n-max", "6"],
-         "witness: n=1 tau=0.2 sample=[1.0] record=0 new_value=0.0\n"
+         "witness: n=6 tau=1.0 sample=[1.0, 0.0, 0.25, 1.0, 1.0, 1.0] record=0 new_value=0.0\n"
          "RESULT pass max_change=1 bound=1 max_dev=8.32667e-17\n"),
         (["sensitivity-audit", "--seed", "1", "--n-max", "4", "--levels", "4", "--B", "2.5"],
-         "witness: n=1 tau=0.2 sample=[2.5] record=0 new_value=0.0\n"
+         "witness: n=3 tau=0.5 sample=[2.5, 0.0, 0.0] record=0 new_value=0.0\n"
          "RESULT pass max_change=2.5 bound=2.5 max_dev=2.22045e-16\n"),
         (["mech-audit", "--seed", "2", "--M-grid", "2,8", "--draws", "5000",
           "--trials", "200", "--B", "1"],

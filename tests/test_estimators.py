@@ -239,9 +239,9 @@ def test_convex_zero_diameter_short_circuits():
         diameter=0.0,
         lipschitz=1.0,
         bound=B1,
-        project=lambda w: fixed.copy(),
-        loss_batch=lambda w, zs: np.abs(float(w[0]) - zs),
-        subgrad_batch=lambda w, zs: np.ones((len(zs), 1)),
+        project=lambda w: np.tile(fixed, (len(w), 1)),
+        loss_batch=lambda w, zs: np.abs(w[:, :1] - zs),
+        subgrad_batch=lambda w, zs: np.ones(zs.shape + (1,)),
     )
     zs = np.array([0.0, 0.4, 0.9])
     report = private_convex_cvar(
@@ -258,9 +258,9 @@ def test_convex_zero_diameter_short_circuits():
 @pytest.mark.parametrize(
     "callable_name, bad, message",
     [
-        ("loss_batch", lambda w, zs: np.abs(float(w[0]) - zs)[:, None],
+        ("loss_batch", lambda w, zs: np.abs(w[:, :1] - zs)[..., None],
          r"loss_batch must return shape \(6,\), got \(6, 1\)"),
-        ("subgrad_batch", lambda w, zs: np.ones(len(zs)),
+        ("subgrad_batch", lambda w, zs: np.ones(zs.shape),
          r"subgrad_batch must return shape \(6, 1\), got \(6,\)"),
     ],
 )
@@ -295,7 +295,7 @@ def test_signed_zero_records_stay_apart_with_their_own_counts():
     private_convex_cvar(problem, np.array([0.0, -0.0, 0.0]), TailMass(0.5),
                         PrivacyBudget(epsilon=1.0, delta=1.0 / 9), RandomStream(seed=20),
                         iterations=2)
-    assert sorted(r.tobytes() for r in seen[0]) == sorted([zero, minus_zero])
+    assert sorted(r.tobytes() for r in seen[0][0]) == sorted([zero, minus_zero])
 
 
 def test_convex_block_needs_one_sample_of_n_records_per_stream():

@@ -268,6 +268,48 @@ class TestSweepDeterminism:
         assert rate_csv_text(run_sweep(SweepConfig(threads=2, **config))) == serial
         assert calls_here == []  # every replicate ran in a worker process
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes are forked")
+    def test_failing_worker_fails_the_sweep_and_leaves_no_child(self, monkeypatch):
+        import dpcvar.harness as harness
+
+        def fail(problem, samples, tau, budget, streams, **kwargs):
+            raise ValueError(f"no learner for {len(streams)} replicates")
+
+        monkeypatch.setattr(harness, "private_convex_cvar_block", fail)
+        monkeypatch.setattr(harness, "_worker_count", lambda threads, replicates: threads)
+        config = SweepConfig(kind="convex", ns=(50,), taus=(1.0,), epsilons=(2.0,), ds=(2,),
+                             replicates=3, iterations=5, threads=2)
+        with pytest.raises(RuntimeError, match=r"worker 0 of 2 failed: ValueError\('no learner"):
+            run_sweep(config)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes are forked")
+    @pytest.mark.parametrize("failing", [0, 2])
+    def test_workers_after_a_failure_are_killed_and_reaped(self, monkeypatch, failing):
+        import time
+
+        import dpcvar.harness as harness
+
+        def run(items):
+            if items == [failing]:
+                raise KeyError(failing)
+            if items[0] > failing:
+                time.sleep(60)  # only a kill ends these in time
+            return np.array(items, dtype=np.float64)
+
+        monkeypatch.setattr(harness, "_worker_count", lambda threads, replicates: threads)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=f"worker {failing} of 3 failed: KeyError"):
+            harness._replicates(SweepConfig(kind="convex", threads=3), run, [0, 1, 2])
+        assert time.monotonic() - start < 30.0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        # and the results of healthy workers come back in slice order
+        assert harness._replicates(SweepConfig(kind="convex", threads=3),
+                                   lambda items: np.array(items, dtype=np.float64),
+                                   [5, 6, 7, 8]).tolist() == [5.0, 6.0, 7.0, 8.0]
+
     def test_worker_count_is_capped(self, monkeypatch):
         # a pure function of its inputs and the host: nothing is started
         import dpcvar.harness as harness

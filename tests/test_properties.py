@@ -250,11 +250,12 @@ def _linear_problem(n, d, tau_v, seed, affine):
 
     def subgrad_batch(w, zs):
         calls.append(1)
-        return (coef * zs[:, 0])[:, None] * zs[:, 1:]
+        return (coef * zs[..., 0])[..., None] * zs[..., 1:]
 
     problem = ConvexProblem(
         dim=d, diameter=1.0, lipschitz=1.0, bound=bound, project=fam.project,
-        loss_batch=lambda w, zs: zs[:, 0] * (coef * (zs[:, 1:] @ w) + fam.shift),
+        loss_batch=lambda w, zs: zs[..., 0] * (coef * np.matmul(zs[..., 1:], w[..., None])[..., 0]
+                                               + fam.shift),
         subgrad_batch=subgrad_batch, affine=affine,
     )
     return problem, data, calls
@@ -469,6 +470,47 @@ def test_project_is_bitwise_the_linalg_norm_form(d, diameter, scale, zero, seed)
     radius, norm = diameter / 2.0, float(np.linalg.norm(w))
     want = w if norm <= radius or norm == 0.0 else w * (radius / norm)
     assert fam.project(w).tobytes() == want.tobytes()
+
+
+@st.composite
+def stacked_family_inputs(draw):
+    """Iterates (R, d) whose rows are zero, inside or outside the ball, and
+    records (R, k, 1+d) of the linear family."""
+    d, r, k = draw(st.integers(1, 128)), draw(st.integers(1, 6)), draw(st.integers(0, 12))
+    diameter = draw(st.floats(0.1, 10.0))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = gen.normal(size=(r, d))
+    for row in w:
+        where = draw(st.sampled_from(["zero", "inside", "outside"]))
+        scale = {"zero": 0.0, "inside": gen.uniform(0.0, 0.99),
+                 "outside": gen.uniform(1.01, 100.0)}[where]
+        row *= scale * (diameter / 2.0) / np.linalg.norm(row)
+    active = (gen.random((r, k)) < 0.5).astype(np.float64)
+    signs = np.where(gen.random((r, k, d)) < 0.5, 1.0, -1.0)
+    return diameter, w, np.concatenate((active[..., None], signs), axis=-1)
+
+
+@PROPERTY
+@given(stacked_family_inputs())
+def test_family_callables_on_a_stack_equal_one_replicate_and_vector_calls(case):
+    diameter, w, zs = case
+    fam = make_linear_family(w.shape[1], diameter, 1.0, LossBound(1.0))
+    coef = fam.g0 / math.sqrt(fam.dim)
+    for name in ("loss_batch", "subgrad_batch"):
+        stacked = getattr(fam, name)(w, zs)
+        assert stacked.shape == zs.shape[:2] + ((fam.dim,) if name == "subgrad_batch" else ())
+        for r in range(len(w)):
+            one = getattr(fam, name)(w[r:r + 1], zs[r:r + 1])
+            vector = getattr(fam, name)(w[r], zs[r])
+            assert stacked[r].tobytes() == one[0].tobytes() == vector.tobytes()
+    for r in range(len(w)):  # the 1-D losses are the plain matrix-vector form
+        plain = zs[r, :, 0] * (coef * (zs[r, :, 1:] @ w[r]) + fam.shift)
+        assert fam.loss_batch(w[r], zs[r]).tobytes() == plain.tobytes()
+    projected = fam.project(w)
+    assert projected.shape == w.shape
+    for r in range(len(w)):
+        assert projected[r].tobytes() == fam.project(w[r:r + 1])[0].tobytes()
+        assert projected[r].tobytes() == fam.project(w[r]).tobytes()
 
 
 @PROPERTY
