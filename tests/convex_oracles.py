@@ -3,10 +3,11 @@
 `reference_convex_cvar` is the one-replicate learner loop as it ran before the
 package learned on distinct records: it evaluates the problem on every record
 of the sample, sums the clipped subgradients row by row, and steps one
-replicate at a time. `dpcvar.estimators.private_convex_cvar_block` regroups
-the same sums by identical records and steps many replicates at once, so its
-reports agree with this loop up to summation order. `interval_problem` is a
-problem that is not affine, on 1-D points, shared by the learner tests.
+replicate at a time, calling the problem on a stack of that one replicate.
+`dpcvar.estimators.private_convex_cvar_block` regroups the same sums by
+identical records and steps many replicates at once, so its reports agree
+with this loop up to summation order. `interval_problem` is a problem that is
+not affine, on 1-D points, shared by the learner tests.
 """
 
 from __future__ import annotations

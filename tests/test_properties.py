@@ -11,7 +11,9 @@ affine path, which evaluates the subgradients once, is checked bitwise against
 the path that evaluates them at every step. The block learner, which sums
 over distinct records weighted by their counts and steps several replicates
 at once, is checked against the one-replicate loop of `convex_oracles` to
-1e-12, and bitwise against itself on one replicate. The discrete sampler, which
+1e-12, and bitwise against itself on one replicate; the linear family's
+stacked callables, which it calls once per step for a block, are checked
+bitwise against their one-replicate and 1-D calls. The discrete sampler, which
 compares uniforms against the CDF edges and skips the uniforms of one-atom
 draws, is checked bitwise against a binary search over the same stream, and
 for leaving the stream where drawing the uniforms would.
@@ -254,8 +256,8 @@ def _linear_problem(n, d, tau_v, seed, affine):
 
     problem = ConvexProblem(
         dim=d, diameter=1.0, lipschitz=1.0, bound=bound, project=fam.project,
-        loss_batch=lambda w, zs: zs[..., 0] * (coef * np.matmul(zs[..., 1:], w[..., None])[..., 0]
-                                               + fam.shift),
+        loss_batch=lambda w, zs: zs[..., 0] * (
+            coef * np.matmul(zs[..., 1:], w[..., None])[..., 0] + fam.shift),
         subgrad_batch=subgrad_batch, affine=affine,
     )
     return problem, data, calls
