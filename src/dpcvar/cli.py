@@ -5,9 +5,12 @@ only to declared output paths, and ends its stdout with a single
 machine-greppable summary line `RESULT pass|fail key=value ...`. Exit codes:
 0 success or audit pass, 1 runtime failure, 2 usage error, 3 audit fail.
 
-A config file holds flat `flag = value` lines mirroring the long flag names
-without the leading dashes (grids stay comma-separated); values given
-explicitly on the command line take precedence.
+Each subcommand registers only the flags it reads, one spelling each, from
+the `_FLAGS` table; each flag sets one SweepConfig field. A config file holds
+flat `flag = value` lines with the same names without the leading dashes
+(grids stay comma-separated). A value given on the command line wins over the
+file, and the file over the subcommand's `defaults`; a flag set by none of
+them leaves the field's SweepConfig default.
 """
 
 from __future__ import annotations
@@ -66,8 +69,6 @@ _FLAGS: dict[str, tuple[str, Callable]] = {
     "G": ("lipschitz", float),
     "D": ("diameter", float),
     "reps": ("replicates", int),
-    "c0": ("c0", float),
-    "c1": ("c1", float),
     "pair-eps": ("pair_eps", float),
     "gamma": ("gamma", float),
     "iters": ("iterations", int),
@@ -78,9 +79,6 @@ _FLAGS: dict[str, tuple[str, Callable]] = {
     "draws": ("draws", int),
     "trials": ("trials", int),
 }
-
-# audit subcommands take scalar-style names; both spellings are accepted
-_AUDIT_ALIASES = {"n-grid": "n", "tau-grid": "tau", "eps-grid": "eps", "M-grid": "M"}
 
 _SUBCOMMANDS: dict[str, dict] = {
     "scalar-rate": {
@@ -93,8 +91,9 @@ _SUBCOMMANDS: dict[str, dict] = {
             "scale like 1/(eps*n*tau); statistical cells like 1/sqrt(n*tau) on a "
             "construction pinned via --pair-eps."
         ),
-        "flags": ["n-grid", "tau-grid", "eps-grid", "B", "reps", "c1", "pair-eps",
-                  "allow-capped"],
+        "flags": ["n-grid", "tau-grid", "eps-grid", "B", "reps", "pair-eps",
+                  "allow-capped", "threads"],
+        "defaults": {},
         "out_required": True,
     },
     "finite-rate": {
@@ -105,8 +104,9 @@ _SUBCOMMANDS: dict[str, dict] = {
             "is exact (0 or the packing gap). Privacy-dominated mean excess grows "
             "like log(2M)/(eps*n*tau)."
         ),
-        "flags": ["n-grid", "tau-grid", "eps-grid", "M-grid", "B", "reps", "c0",
-                  "pair-eps", "allow-capped"],
+        "flags": ["n-grid", "tau-grid", "eps-grid", "M-grid", "B", "reps",
+                  "pair-eps", "allow-capped", "threads"],
+        "defaults": {},
         "out_required": True,
     },
     "convex-rate": {
@@ -119,7 +119,8 @@ _SUBCOMMANDS: dict[str, dict] = {
             "delta defaults to n^-2 per cell."
         ),
         "flags": ["n-grid", "tau-grid", "eps-grid", "d-grid", "delta", "B", "G",
-                  "D", "reps", "gamma", "iters", "allow-capped"],
+                  "D", "reps", "gamma", "iters", "allow-capped", "threads"],
+        "defaults": {},
         "out_required": True,
     },
     "sensitivity-audit": {
@@ -131,6 +132,7 @@ _SUBCOMMANDS: dict[str, dict] = {
             "exactly, reporting the witness pair."
         ),
         "flags": ["n-max", "tau-grid", "B", "levels"],
+        "defaults": {"tau-grid": (0.2, 0.5, 1.0)},
         "out_required": False,
     },
     "mech-audit": {
@@ -141,8 +143,9 @@ _SUBCOMMANDS: dict[str, dict] = {
             "distribution (total variation within 0.02) and checks the mean score "
             "shortfall on packing instances against its analytic envelope."
         ),
-        "flags": ["M-grid", "draws", "trials", "eps-grid", "tau-grid", "n-grid", "B",
-                  "c0"],
+        "flags": ["M-grid", "draws", "trials", "eps-grid", "tau-grid", "n-grid", "B"],
+        "defaults": {"M-grid": (2, 8, 64), "n-grid": (200,), "tau-grid": (0.25,),
+                     "trials": 10_000},
         "out_required": False,
     },
     "embed-check": {
@@ -154,16 +157,10 @@ _SUBCOMMANDS: dict[str, dict] = {
             "to 1e-12."
         ),
         "flags": ["trials", "tau-grid", "B"],
+        "defaults": {"tau-grid": (0.05, 0.3, 1.0)},
         "out_required": False,
     },
 }
-
-_AUDIT_TAU_DEFAULTS = {
-    "sensitivity-audit": (0.2, 0.5, 1.0),
-    "embed-check": (0.05, 0.3, 1.0),
-    "mech-audit": (0.25,),
-}
-_MECH_DEFAULTS = {"M-grid": (2, 8, 64), "n-grid": (200,), "trials": 10_000}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,16 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="output CSV path" if entry["out_required"]
                          else "optional path for the text report")
         sub.add_argument("--config", help="flat `flag = value` file; explicit flags win")
-        sub.add_argument("--threads", type=int, default=None,
-                         help="run each cell's replicates on up to K forked worker "
-                              "processes (default 1); output bytes unchanged")
-        audit = not entry["out_required"]
         for flag in entry["flags"]:
             field_name, conv = _FLAGS[flag]
-            names = [f"--{flag}"]
-            if audit and flag in _AUDIT_ALIASES:
-                names.insert(0, f"--{_AUDIT_ALIASES[flag]}")
-            sub.add_argument(*names, type=conv, default=None, dest=field_name)
+            sub.add_argument(f"--{flag}", type=conv, default=None, dest=field_name)
     return parser
 
 
@@ -215,22 +205,14 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 def _resolve_options(args: argparse.Namespace, command: str) -> dict:
     """SweepConfig fields from explicit flags over config-file values over
-    per-command defaults; a field set by none of them is left out."""
+    the command's defaults; a field set by none of them is left out."""
     entry = _SUBCOMMANDS[command]
     file_values = _read_config_file(args.config) if args.config else {}
-    if not entry["out_required"]:
-        renames = {alias: flag for flag, alias in _AUDIT_ALIASES.items()
-                   if flag in entry["flags"]}
-        file_values = {renames.get(k, k): v for k, v in file_values.items()}
-    known = set(entry["flags"]) | {"threads"}
     for key in file_values:
-        if key not in known:
+        if key not in entry["flags"]:
             raise UsageError(f"config file sets unknown flag {key!r} for {command}")
-    defaults = dict(_MECH_DEFAULTS) if command == "mech-audit" else {}
-    if command in _AUDIT_TAU_DEFAULTS:
-        defaults["tau-grid"] = _AUDIT_TAU_DEFAULTS[command]
     resolved: dict[str, object] = {}
-    for flag in [*entry["flags"], "threads"]:
+    for flag in entry["flags"]:
         field_name, conv = _FLAGS[flag]
         value = getattr(args, field_name)
         if value is None and flag in file_values:
@@ -239,7 +221,7 @@ def _resolve_options(args: argparse.Namespace, command: str) -> dict:
             except (argparse.ArgumentTypeError, ValueError) as exc:
                 raise UsageError(f"config value for {flag}: {exc}") from exc
         if value is None:
-            value = defaults.get(flag)
+            value = entry["defaults"].get(flag)
         if value is not None:
             resolved[field_name] = value
     return resolved
@@ -247,11 +229,9 @@ def _resolve_options(args: argparse.Namespace, command: str) -> dict:
 
 def _make_sweep_config(command: str, opts: dict, seed: int) -> SweepConfig:
     try:
-        config = SweepConfig(kind=_SUBCOMMANDS[command]["kind"], base_seed=seed, **opts)
-        config.validate()
+        return SweepConfig(kind=_SUBCOMMANDS[command]["kind"], base_seed=seed, **opts)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return config
 
 
 def _slope_path(out_path: str) -> str:

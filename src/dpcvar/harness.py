@@ -7,8 +7,8 @@ only scaling exponents and ratio laws; the constants hidden in the analytic
 rates are not reproducible and the reports say so.
 
 `run_sweep` is the one entry point for the scalar, finite and convex sweeps:
-it validates the config, takes the grid product for the kind and hands one
-job per cell to `_run_cells`, which runs the cells in order. Every cell
+it takes the grid product for the kind and hands one job per cell to
+`_run_cells`, which runs the cells in order. Every cell
 follows one skeleton: start its clock, build the instance, run its loop over
 the replicate streams of `_streams` through `_replicates` (in this process,
 or split across up to `threads` bare forked worker processes, each handing
@@ -76,6 +76,7 @@ from .risk import (
     LossBound,
     TailMass,
     _sorted_cvar_rows,
+    cvar_sensitivity_bound,
     lift_scale,
     lifted_gradient_bound,
     population_cvar_discrete,
@@ -103,10 +104,13 @@ _ENUMERATION_CAP = 2**24
 class SweepConfig:
     """Grid, replication, and constant settings for one experiment.
 
-    `pair_eps` decouples the hard-instance construction budget from the
-    mechanism budget; by default the instance is calibrated at the mechanism's
-    own epsilon. `deltas = None` means pure DP for scalar/finite cells and the
-    per-cell default delta = n^-2 for convex cells.
+    A config is checked when it is built: an invalid one raises ValueError
+    and never exists. `pair_eps` decouples the hard-instance construction
+    budget from the mechanism budget; by default the instance is calibrated
+    at the mechanism's own epsilon. `deltas = None` means pure DP for
+    scalar/finite cells and the per-cell default delta = n^-2 for convex
+    cells. The two-point and packing constants c1 = c0 = 0.125 are not
+    settings: the sweeps check exponents and ratio laws, not constants.
     """
 
     kind: str
@@ -121,8 +125,6 @@ class SweepConfig:
     bound: float = 1.0
     lipschitz: float = 1.0
     diameter: float = 1.0
-    c0: float = 0.125
-    c1: float = 0.125
     pair_eps: float | None = None
     gamma: float = 1.0
     iterations: int | None = None
@@ -134,7 +136,7 @@ class SweepConfig:
     draws: int = 100_000
     trials: int = 100
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in SWEEP_KINDS + AUDIT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.replicates < 1:
@@ -172,8 +174,6 @@ class SweepConfig:
             raise ValueError(f"sensitivity-audit enumeration of {self.value_levels}**n_max "
                              f"samples x n_max={self.n_max} is over the cap of "
                              f"{_ENUMERATION_CAP} entries")
-        if not 0.0 < self.c0 <= 1.0 or not 0.0 < self.c1 <= 1.0:
-            raise ValueError("c0 and c1 must lie in (0, 1]")
         if abs(self.gamma) > 1.0:
             raise ValueError("gamma must lie in [-1, 1]")
         if self.bound < 0.0 or self.lipschitz < 0.0 or self.diameter < 0.0:
@@ -456,7 +456,7 @@ def _scalar_cell(config: SweepConfig, n: int, tau_v: float, eps: float) -> RateR
     tau = TailMass(tau_v)
     bound = LossBound(config.bound)
     construction_eps = config.pair_eps if config.pair_eps is not None else eps
-    pair = make_scalar_pair(n, tau, PrivacyBudget(construction_eps), bound, config.c1)
+    pair = make_scalar_pair(n, tau, PrivacyBudget(construction_eps), bound)
     budget = PrivacyBudget(eps)
     members = (pair.p0, pair.p1)
     truths = (pair.true_cvar(0), pair.true_cvar(1))
@@ -473,7 +473,7 @@ def _scalar_cell(config: SweepConfig, n: int, tau_v: float, eps: float) -> RateR
              for stream in _streams(config, "scalar", n, tau_v, eps, which)]
     errors = _replicates(config, run, items).reshape(2, config.replicates)
     worst = int(np.argmax(errors.mean(axis=1)))
-    privacy_term = config.bound * min(1.0, 1.0 / (n * tau_v)) / eps
+    privacy_term = cvar_sensitivity_bound(n, tau, bound) / eps
     statistical_term = config.bound * math.sqrt(pair.p * (1.0 - pair.p) / n) / tau_v
     return _row(config, start, errors[worst], _three_way(privacy_term, statistical_term),
                 kind="scalar", n=n, tau=tau_v, eps=eps)
@@ -491,7 +491,7 @@ def _finite_cell(config: SweepConfig, n: int, tau_v: float, eps: float, m: int) 
     tau = TailMass(tau_v)
     bound = LossBound(config.bound)
     construction_eps = config.pair_eps if config.pair_eps is not None else eps
-    inst = make_packing(m, n, tau, PrivacyBudget(construction_eps), bound, config.c0)
+    inst = make_packing(m, n, tau, PrivacyBudget(construction_eps), bound)
     cls = FiniteClassInstance(num_predictors=m, loss_of=inst.loss_of, bound=bound)
     budget = PrivacyBudget(eps)
 
@@ -573,7 +573,6 @@ def run_sweep(config: SweepConfig) -> RateTable:
     """
     if config.kind not in SWEEP_KINDS:
         raise ValueError(f"not a sweep kind: {config.kind!r}")
-    config.validate()
     deltas = (None,) if config.deltas is None else config.deltas
     cell, extra = {
         "scalar": (_scalar_cell, ()),
@@ -648,8 +647,8 @@ def run_sensitivity_audit(config: SweepConfig) -> AuditReport:
     the other cells are scored from the sorted rows, as `cvar_rows` would.
     Only the CVaR vectors of one n are held at a time.
     """
-    b = config.bound
-    levels = np.linspace(0.0, b, config.value_levels)
+    bound = LossBound(config.bound)
+    levels = np.linspace(0.0, config.bound, config.value_levels)
     base = levels.size
     cells = {}  # (tau index, n) -> (cell_max, (k, pos, lvl))
     for n in range(1, config.n_max + 1):
@@ -676,7 +675,7 @@ def run_sensitivity_audit(config: SweepConfig) -> AuditReport:
     for i, tau_v in enumerate(config.taus):
         for n in range(1, config.n_max + 1):
             cell_max, (k, pos, lvl) = cells[i, n]
-            bound_val = b * min(1.0, 1.0 / (n * tau_v))
+            bound_val = cvar_sensitivity_bound(n, TailMass(tau_v), bound)
             dev = abs(cell_max - bound_val)
             if cell_max > 0.0 and (witness is None or dev > worst_dev):
                 witness = (
@@ -745,7 +744,7 @@ def run_mech_audit(config: SweepConfig) -> AuditReport:
         if tv > 0.02:
             passed = False
             witness = f"M={m} tv={tv}"
-        inst = make_packing(m, n, tau, budget, bound, config.c0)
+        inst = make_packing(m, n, tau, budget, bound)
         cls = FiniteClassInstance(num_predictors=m, loss_of=inst.loss_of, bound=bound)
         shortfalls = np.empty(config.trials)
         for rep in range(config.trials):
@@ -817,5 +816,4 @@ def run_audits(config: SweepConfig) -> AuditReport:
     }.get(config.kind)
     if runner is None:
         raise ValueError(f"not an audit kind: {config.kind!r}")
-    config.validate()
     return runner(config)

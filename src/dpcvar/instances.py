@@ -247,14 +247,22 @@ class LinearLowerFamily:
         """n iid tail-embedded records: the (n, 1+d) rows (t, v).
 
         The n activations t ~ Bernoulli(tau) are drawn first, then the sign
-        vectors v with coordinatewise means mu in [-1, 1]^d.
+        vectors v with coordinatewise means mu in [-1, 1]^d. The signs are
+        written into the rows a slice of about 2**15 uniforms at a time;
+        consecutive draws continue one stream, so the slices take the same
+        uniforms as one (n, d) draw, and no full-size temporary is made.
         """
         mu = np.asarray(mu, dtype=np.float64)
         if mu.shape != (self.dim,) or np.abs(mu).max() > 1.0:
             raise ValueError("mu must be a d-vector with entries in [-1, 1]")
-        active = (rng.random(n) < tau.tau).astype(np.float64)
-        signs = np.where(rng.random((n, self.dim)) < (1.0 + mu) / 2.0, 1.0, -1.0)
-        return np.concatenate((active[:, None], signs), axis=1)
+        rows = np.empty((n, 1 + self.dim))
+        rows[:, 0] = rng.random(n) < tau.tau
+        up = (1.0 + mu) / 2.0
+        step = max(1, (1 << 15) // self.dim)
+        for lo in range(0, n, step):
+            signs = rows[lo:lo + step, 1:]
+            signs[...] = np.where(rng.random(signs.shape) < up, 1.0, -1.0)
+        return rows
 
     def population_value(self, w: np.ndarray, mu: np.ndarray) -> float:
         return float((self.g0 / math.sqrt(self.dim)) * (mu @ w) + self.shift)

@@ -109,6 +109,24 @@ def gaussian_noise(sigma: float, dim: int, rng: RandomStream, rows: int | None =
     return rng.generator.normal(0.0, sigma, size=dim if rows is None else (rows, dim))
 
 
+def _checked_scores(
+    scores: np.ndarray, sensitivity: SensitivityValue, budget: PrivacyBudget
+) -> tuple[np.ndarray, bool]:
+    """The scores as a float array and whether they are all equal; raises
+    ValueError on any input the exponential mechanism refuses."""
+    if not budget.is_pure:
+        raise ValueError("the exponential mechanism is pure DP; delta must be 0")
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 1 or s.size < 1:
+        raise ValueError("scores must be a nonempty one-dimensional array")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("scores must be finite")
+    all_equal = bool(s.max() == s.min())
+    if sensitivity.value == 0.0 and not all_equal:
+        raise ValueError("zero sensitivity requires all scores equal")
+    return s, all_equal
+
+
 def exponential_mechanism(
     scores: np.ndarray,
     sensitivity: SensitivityValue,
@@ -124,23 +142,13 @@ def exponential_mechanism(
     uniform and leaks nothing). With `size`, returns an int array of that many
     independent draws, equal to `size` single calls on the same stream.
     """
-    if not budget.is_pure:
-        raise ValueError("the exponential mechanism is pure DP; delta must be 0")
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1 or s.size < 1:
-        raise ValueError("scores must be a nonempty one-dimensional array")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("scores must be finite")
+    s, all_equal = _checked_scores(scores, sensitivity, budget)
     m = s.size
-    dq = sensitivity.value
-    all_equal = bool(s.max() == s.min())
-    if dq == 0.0 and not all_equal:
-        raise ValueError("zero sensitivity requires all scores equal")
     u = rng.generator.random(size)
-    if dq == 0.0 or all_equal:
+    if all_equal:
         idx = (np.asarray(u) * m).astype(np.int64)
     else:
-        logits = (budget.epsilon / (2.0 * dq)) * s
+        logits = (budget.epsilon / (2.0 * sensitivity.value)) * s
         logits -= logits.max()
         weights = np.exp(logits)
         cdf = np.cumsum(weights)
@@ -153,12 +161,12 @@ def exponential_mechanism(
 def exponential_mechanism_probs(
     scores: np.ndarray, sensitivity: SensitivityValue, budget: PrivacyBudget
 ) -> np.ndarray:
-    """The exact selection distribution the mechanism samples from."""
-    s = np.asarray(scores, dtype=np.float64)
-    dq = sensitivity.value
-    if dq == 0.0 or s.max() == s.min():
+    """The exact selection distribution the mechanism samples from; refuses
+    the inputs the mechanism refuses."""
+    s, all_equal = _checked_scores(scores, sensitivity, budget)
+    if all_equal:
         return np.full(s.size, 1.0 / s.size)
-    logits = (budget.epsilon / (2.0 * dq)) * s
+    logits = (budget.epsilon / (2.0 * sensitivity.value)) * s
     logits -= logits.max()
     weights = np.exp(logits)
     return weights / weights.sum()

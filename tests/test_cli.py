@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from dpcvar.cli import main
+from dpcvar.cli import _SUBCOMMANDS, build_parser, main
 
 
 def run_cli(argv, capsys):
@@ -166,6 +166,10 @@ class TestUsageErrors:
         (["mech-audit", "--n-grid", "200,5"], "one n value"),
         (["mech-audit", "--tau-grid", "0.25,0.001"], "one tau value"),
         (["mech-audit", "--eps-grid", "0.5,1000"], "one eps value"),
+        # absolute constants are fixed, not options; audits never read --threads
+        (["scalar-rate", "--c1", "0.2"], "--c1"),
+        (["finite-rate", "--c0", "0.2"], "--c0"),
+        (["mech-audit", "--threads", "2"], "--threads"),
     ])
     def test_out_of_range_option_exits_2(self, argv, message, tmp_path, capsys):
         # each of these once crashed with exit 1 or passed without checking anything
@@ -176,6 +180,18 @@ class TestUsageErrors:
             code = exc.code
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [
+        ("embed-check", "threads"), ("sensitivity-audit", "tau"), ("mech-audit", "c0"),
+    ])
+    def test_audit_config_key_it_does_not_read_exits_2(self, command, key, tmp_path, capsys):
+        # each key, at a legal value, was once accepted: threads unread, tau as a
+        # second spelling of tau-grid, c0 as the packing constant
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        code, _, err = run_cli([command, "--seed", "1", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert repr(key) in err
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -313,6 +329,20 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.rstrip().splitlines()[-1].startswith("RESULT pass ")
         assert out.exists()
+
+    def test_each_command_registers_its_flags_once(self):
+        # one spelling per flag, and only the flags the command reads
+        parser = build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        assert set(commands) == set(_SUBCOMMANDS)
+        for name, sub in commands.items():
+            spellings = {s for a in sub._actions for s in a.option_strings}
+            expected = {"-h", "--help", "--seed", "--out", "--config"}
+            expected |= {f"--{flag}" for flag in _SUBCOMMANDS[name]["flags"]}
+            assert spellings == expected
+            assert set(_SUBCOMMANDS[name]["defaults"]) <= set(_SUBCOMMANDS[name]["flags"])
+        threaded = {name for name, entry in _SUBCOMMANDS.items() if "threads" in entry["flags"]}
+        assert threaded == {"scalar-rate", "finite-rate", "convex-rate"}
 
     def test_help_mentions_each_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -174,43 +174,38 @@ class TestFitAllSlopes:
 
 class TestConfigValidation:
     def test_capped_cell_rejected_by_default(self):
-        cfg = SweepConfig(kind="scalar", ns=(100,), taus=(0.001,))
         with pytest.raises(ValueError, match="allow_capped"):
-            cfg.validate()
+            SweepConfig(kind="scalar", ns=(100,), taus=(0.001,))
 
     def test_capped_cell_allowed_when_opted_in(self):
-        cfg = SweepConfig(kind="scalar", ns=(100,), taus=(0.001,), allow_capped=True)
-        cfg.validate()
+        SweepConfig(kind="scalar", ns=(100,), taus=(0.001,), allow_capped=True)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
-            SweepConfig(kind="quantum").validate()
+            SweepConfig(kind="quantum")
 
     def test_scalar_delta_must_be_zero(self):
-        cfg = SweepConfig(kind="scalar", deltas=(1e-6,))
         with pytest.raises(ValueError, match="pure"):
-            cfg.validate()
+            SweepConfig(kind="scalar", deltas=(1e-6,))
 
     def test_convex_delta_window(self):
-        good = SweepConfig(kind="convex", ns=(100,), deltas=(1e-4,))
-        good.validate()
-        bad = SweepConfig(kind="convex", ns=(100,), deltas=(1e-3,))
+        SweepConfig(kind="convex", ns=(100,), deltas=(1e-4,))
         with pytest.raises(ValueError, match="n\\^-2"):
-            bad.validate()
+            SweepConfig(kind="convex", ns=(100,), deltas=(1e-3,))
 
     def test_finite_needs_two_predictors(self):
         with pytest.raises(ValueError, match="M >= 2"):
-            SweepConfig(kind="finite", Ms=(1,)).validate()
+            SweepConfig(kind="finite", Ms=(1,))
 
     def test_bad_grids_rejected(self):
         with pytest.raises(ValueError):
-            SweepConfig(kind="scalar", taus=()).validate()
+            SweepConfig(kind="scalar", taus=())
         with pytest.raises(ValueError):
-            SweepConfig(kind="scalar", taus=(1.5,)).validate()
+            SweepConfig(kind="scalar", taus=(1.5,))
         with pytest.raises(ValueError):
-            SweepConfig(kind="scalar", epsilons=(0.0,)).validate()
+            SweepConfig(kind="scalar", epsilons=(0.0,))
         with pytest.raises(ValueError, match="delta grid must be nonempty"):
-            SweepConfig(kind="convex", deltas=()).validate()
+            SweepConfig(kind="convex", deltas=())
 
 
 SCALAR_CFG = dict(kind="scalar", ns=(100, 200), taus=(0.5,), epsilons=(0.4,),

@@ -115,6 +115,23 @@ def test_exponential_mechanism_preconditions():
         exponential_mechanism(np.array([]), SensitivityValue(0.5), PrivacyBudget(1.0), rng)
 
 
+@pytest.mark.parametrize("scores, sens, budget, message", [
+    ([0.0, 1.0], 0.0, PrivacyBudget(1.0), "zero sensitivity"),
+    ([0.0, np.nan], 0.5, PrivacyBudget(1.0), "finite"),
+    ([0.0, np.inf], 0.5, PrivacyBudget(1.0), "finite"),
+    ([0.0, 1.0], 0.5, PrivacyBudget(1.0, delta=1e-6), "pure DP"),
+])
+def test_exponential_mechanism_probs_refuses_what_the_sampler_refuses(
+    scores, sens, budget, message
+):
+    # the closed-form law once answered [0.5, 0.5], NaN or probabilities here
+    scores = np.array(scores)
+    with pytest.raises(ValueError, match=message):
+        exponential_mechanism(scores, SensitivityValue(sens), budget, RandomStream(seed=6))
+    with pytest.raises(ValueError, match=message):
+        exponential_mechanism_probs(scores, SensitivityValue(sens), budget)
+
+
 def _exact_gaussian_delta(eps: float, sigma: float):
     """delta(eps) of one Gaussian release at sensitivity 1, in 60-digit arithmetic.
 
