@@ -5,7 +5,9 @@ Three release paths share the LearnerReport shape:
   * `private_scalar_cvar`: empirical CVaR plus Laplace noise at the exact
     one-record sensitivity B * min{1, 1/(n*tau)}, clamped back to [0, B].
   * `private_finite_class`: exponential mechanism over predictors scored by
-    negative empirical CVaR, with score sensitivity B/(n*tau).
+    negative empirical CVaR, with score sensitivity B/(n*tau), scored on the
+    sample's distinct records weighted by their counts (the same function of
+    the sample, so the same sensitivity).
   * `private_convex_cvar_block`: noisy projected subgradient descent on the
     lifted empirical objective over W x [0, B/lam], once per sample of a
     block of replicates, releasing only each averaged w (and the threshold
@@ -114,8 +116,10 @@ class FiniteClassInstance:
     """A finite predictor class with vectorized loss evaluation.
 
     `loss_of(indices, points)` takes an integer array of predictor indices and
-    an array of n data points and returns the (len(indices), n) loss block:
-    row i holds the losses of predictor indices[i]. Values must lie in [0, B].
+    an array of k data points (records along axis 0) and returns the
+    (len(indices), k) loss block: entry (i, c) is the loss of predictor
+    indices[i] on point c. Values must lie in [0, B]. Selection passes the
+    sample's distinct records, so entry (i, c) may depend on record c only.
     """
 
     num_predictors: int
@@ -138,28 +142,28 @@ def private_finite_class(
 
     Scores are negative empirical CVaRs; replacing one record moves every
     score by at most B/(n*tau), which is the sensitivity used. Predictors are
-    scored in blocks of consecutive indices, one `loss_of` and one `cvar_rows`
+    scored in blocks of consecutive indices, one `loss_of` call on the k
+    distinct records (`_distinct_records`) and one count-weighted `cvar_rows`
     call per block.
     """
     if not budget.is_pure:
         raise ValueError("finite-class selection is pure DP; delta must be 0")
     pts = np.asarray(points)
-    n = pts.shape[0]
-    if n < 1:
-        raise ValueError("need at least one data point")
+    records, counts = _distinct_records(pts)
+    n, k = pts.shape[0], counts.size
     m = instance.num_predictors
-    rows = max(1, _BLOCK_ELEMENTS // n)
+    rows = max(1, _BLOCK_ELEMENTS // k)
     scores = np.empty(m, dtype=np.float64)
     for lo in range(0, m, rows):
         indices = np.arange(lo, min(lo + rows, m))
-        block = np.asarray(instance.loss_of(indices, pts), dtype=np.float64)
-        if block.shape != (indices.size, n):
+        block = np.asarray(instance.loss_of(indices, records), dtype=np.float64)
+        if block.shape != (indices.size, k):
             raise ValueError(
                 f"loss_of must return one loss per predictor and data point: "
-                f"expected shape {(indices.size, n)}, got {block.shape}"
+                f"expected shape {(indices.size, k)}, got {block.shape}"
             )
         check_losses(block, instance.bound)
-        scores[lo:lo + indices.size] = -cvar_rows(block, n * tau.tau)
+        scores[lo:lo + indices.size] = -cvar_rows(block, n * tau.tau, counts)
     sens = SensitivityValue(instance.bound.b / (n * tau.tau))
     if m == 1:
         return LearnerReport(
@@ -230,20 +234,22 @@ def _distinct_records(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     `np.unique(axis=0)` would merge them. The records come in byte order, each
     taken at its first occurrence, and the counts are float64. A stable
     argsort of the byte keys finds the runs of equal records; only the sorted
-    keys and the k distinct records are copied.
+    keys and the k distinct records are copied. A record of 1, 2, 4 or 8 bytes
+    is keyed as a big-endian unsigned integer, which orders as its bytes do
+    and sorts several times faster.
     """
     pts = np.ascontiguousarray(points)
     if pts.ndim < 1 or pts.dtype.kind not in "biufc":
         raise ValueError("points must be a numeric array with one record per row")
     if pts.size == 0:
         raise ValueError("need at least one data point")
-    n = pts.shape[0]
-    keys = pts.reshape(n, -1).view(np.dtype((np.void, pts.nbytes // n)))[:, 0]
-    order = np.argsort(keys, kind="stable")
+    n, width = pts.shape[0], pts.nbytes // pts.shape[0]
+    key = np.dtype(f">u{width}") if width in (1, 2, 4, 8) else np.dtype((np.void, width))
+    keys = pts.reshape(n, -1).view(key)[:, 0]
+    order = keys.argsort(kind="stable")
     ordered = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    counts = np.diff(starts, append=n).astype(np.float64)
-    return pts[order[starts]], counts
+    edges = np.concatenate(([True], ordered[1:] != ordered[:-1], [True])).nonzero()[0]
+    return pts[order[edges[:-1]]], (edges[1:] - edges[:-1]).astype(np.float64)
 
 
 def private_convex_cvar_block(

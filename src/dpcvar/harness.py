@@ -45,7 +45,7 @@ import pickle
 import signal
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 from typing import Callable, Sequence
 
@@ -701,9 +701,11 @@ def run_sensitivity_audit(config: SweepConfig) -> AuditReport:
     )
 
 
-def _rival_cvar(pts: np.ndarray, bound: float, n_tau: float) -> float:
-    """Empirical CVaR of each predictor r != j on a sample of P_j (see `run_mech_audit`)."""
-    return bound * min(int(np.count_nonzero(pts)), n_tau) / n_tau
+def _rival_cvar(c: int, n: int, bound: float, n_tau: float) -> float:
+    """Empirical CVaR of each predictor r != j on a sample of n points of P_j
+    with c of them at j+1 (see `run_mech_audit`)."""
+    counts = np.array([n - c, c], dtype=np.float64)
+    return float(_cvar_rows(np.array([[0.0, bound]]), n_tau, counts)[0])
 
 
 def run_mech_audit(config: SweepConfig) -> AuditReport:
@@ -719,8 +721,9 @@ def run_mech_audit(config: SweepConfig) -> AuditReport:
     The shortfall is the best score minus the picked one's, with score -CVaR.
     A sample of P_j holds only the points 0 and j+1: predictor j loses
     nothing and every other predictor loses B on the same c points at j+1.
-    So the shortfall is 0 when the pick is j and B*min(c, n*tau)/(n*tau)
-    (`_rival_cvar`) otherwise, one count over the sample and no CVaR kernel.
+    So the shortfall is 0 when the pick is j and otherwise the CVaR of the
+    losses 0 and B with counts n - c and c (`_rival_cvar`, one count-weighted
+    kernel call per count c seen at this M).
     """
     (eps,), (tau_v,), (n,) = config.epsilons, config.taus, config.ns
     budget = PrivacyBudget(eps)
@@ -747,13 +750,14 @@ def run_mech_audit(config: SweepConfig) -> AuditReport:
         inst = make_packing(m, n, tau, budget, bound)
         cls = FiniteClassInstance(num_predictors=m, loss_of=inst.loss_of, bound=bound)
         shortfalls = np.empty(config.trials)
+        rival = lru_cache(maxsize=None)(partial(_rival_cvar, n=n, bound=config.bound, n_tau=n_tau))
         for rep in range(config.trials):
             rep_stream = RandomStream(
                 config.base_seed, stable_stream_id("mech-shortfall", m, rep)
             )
             j, pts = inst.draw(n, rep_stream.generator)
             picked = private_finite_class(cls, pts, tau, budget, rep_stream).output
-            shortfalls[rep] = 0.0 if picked == j else _rival_cvar(pts, config.bound, n_tau)
+            shortfalls[rep] = 0.0 if picked == j else rival(int(np.count_nonzero(pts)))
         envelope = 2.0 * (config.bound / n_tau) * (math.log(m) + 1.0) / eps
         ratio = float(shortfalls.mean()) / envelope
         if ratio > max_shortfall_ratio:

@@ -128,7 +128,7 @@ class PackingInstance:
         if idx.size and not (0 <= idx.min() and idx.max() < self.M):
             raise ValueError(f"predictor index must lie in [0, {self.M}), got {r}")
         z = np.asarray(points, dtype=np.float64)
-        hit = (z != 0.0) & (z != np.expand_dims(idx + 1.0, -1))
+        hit = (z != 0.0) & (z != (idx + 1.0)[..., None])
         return np.multiply(hit, self.bound, dtype=np.float64)  # one float temporary, not two
 
     def excess_of(self, r: int, j: int) -> float:

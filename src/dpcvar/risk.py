@@ -9,9 +9,10 @@ Conventions used throughout:
     statistics are handled exactly.
 
 There is one empirical CVaR kernel, `cvar_rows`, which scores every row of an
-(R, n) loss block with one row-wise sort; `empirical_cvar` runs it on a
-one-row view. Sorting beats `np.partition` here on the heavily tied 0/B
-losses the hard instances produce.
+(R, n) loss block with one row-wise sort, or of an (R, k) block of distinct
+records weighted by their counts; `empirical_cvar` runs it on a one-row view.
+Sorting beats `np.partition` here on the heavily tied 0/B losses the hard
+instances produce.
 
 The convex learner minimizes the lifted (Rockafellar-Uryasev) objective
 lam*u + (1/tau)*(loss - lam*u)_+ over (w, u): `lift_scale` picks lam,
@@ -147,7 +148,7 @@ class DiscreteDistribution:
         return out
 
 
-def cvar_rows(values: np.ndarray, n_tau: float) -> np.ndarray:
+def cvar_rows(values: np.ndarray, n_tau: float, counts: np.ndarray | None = None) -> np.ndarray:
     """Empirical CVaR of each row of an (R, n) loss block, with n_tau = n*tau.
 
     Capped-weight tail average: with k = floor(n*tau), the worst k order
@@ -157,10 +158,33 @@ def cvar_rows(values: np.ndarray, n_tau: float) -> np.ndarray:
     the worst k and nxt the (k+1)-th: on subnormal losses the difference is
     exact and only the division rounds, where (top + (n*tau - k)*nxt) / (n*tau)
     underflows (to 0 for the row [5e-324] at n*tau = 0.5).
+
+    With `counts`, column c of an (R, m) block stands for counts[c] equal
+    losses, so the block is that of n = counts.sum() losses and the result
+    is that of `np.repeat(values, counts, axis=1)`; the mean path is
+    (values @ counts) / n. Each row is argsorted and filled from the top: a
+    column gets the full weight clip(k - count above it, 0, its count), and
+    nxt is the column in which the (k+1)-th loss falls. Only the summation
+    order differs from the repeated block, so on 0/B losses with B a power
+    of two the result is bitwise the same.
     """
-    if n_tau >= values.shape[1]:
-        return values.mean(axis=1)
-    return _sorted_cvar_rows(np.sort(values, axis=1), n_tau)
+    if counts is None:
+        if n_tau >= values.shape[1]:
+            return values.mean(axis=1)
+        return _sorted_cvar_rows(np.sort(values, axis=1), n_tau)
+    n = counts.sum()
+    if n_tau >= n:
+        return values @ counts / n
+    k = math.floor(n_tau)
+    order = values.argsort(axis=1)
+    rows = np.arange(len(values))
+    ordered = values[rows[:, None], order]
+    weights = counts[order]
+    # k minus the count above each column (np.add.accumulate: cumsum without its Python layer)
+    room = np.add.accumulate(weights, axis=1) - (n - k)
+    top = np.einsum("ij,ij->i", ordered, np.minimum(np.maximum(room, 0.0), weights))
+    nxt = ordered[rows, (room >= 0.0).argmax(axis=1)]
+    return nxt + (top - k * nxt) / n_tau
 
 
 def _sorted_cvar_rows(ordered: np.ndarray, n_tau: float) -> np.ndarray:

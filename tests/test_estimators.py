@@ -94,13 +94,14 @@ def test_finite_two_predictor_odds():
     n, tau = 10, TailMass(0.4)
     eps = math.log(3.0) / 2.0
     losses = np.stack([np.zeros(n), np.ones(n)])
+    # losses indexed by record, not by position: selection passes distinct records
     inst = FiniteClassInstance(
-        num_predictors=2, loss_of=lambda r, z: losses[r, : len(z)], bound=B1
+        num_predictors=2, loss_of=lambda r, z: losses[r][:, z.astype(int)], bound=B1
     )
     stream = RandomStream(seed=5, stream_id=1)
     draws = 100_000
     picked_bad = 0
-    pts = np.zeros(n)
+    pts = np.arange(n, dtype=float)
     for _ in range(draws):
         picked_bad += private_finite_class(inst, pts, tau, PrivacyBudget(eps), stream).output
     want = 1.0 / (1.0 + 3.0)
@@ -113,7 +114,7 @@ def test_finite_selection_total_variation():
     n, m = 30, 8
     tables = rng_data.random((m, n))
     inst = FiniteClassInstance(
-        num_predictors=m, loss_of=lambda r, z: tables[r, : len(z)], bound=B1
+        num_predictors=m, loss_of=lambda r, z: tables[r][:, z.astype(int)], bound=B1
     )
     tau = TailMass(0.3)
     budget = PrivacyBudget(epsilon=0.9)
@@ -124,7 +125,7 @@ def test_finite_selection_total_variation():
     stream = RandomStream(seed=7, stream_id=2)
     draws = 20_000
     counts = np.zeros(m)
-    pts = np.zeros(n)
+    pts = np.arange(n, dtype=float)
     for _ in range(draws):
         counts[private_finite_class(inst, pts, tau, budget, stream).output] += 1
     tv = 0.5 * float(np.abs(counts / draws - probs).sum())

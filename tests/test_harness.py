@@ -583,7 +583,7 @@ class TestAudits:
                 gen.shuffle(pts)
             c = int(np.count_nonzero(pts))
             seen.add("zero" if c == 0 else "past" if c > math.floor(n_tau) else "within")
-            rival = _rival_cvar(pts, b, n_tau)
+            rival = _rival_cvar(c, n, b, n_tau)
             for r in range(m):
                 kernel = empirical_cvar(BoundedLossVector(inst.loss_of(r, pts), bound), tau)
                 if r == j:

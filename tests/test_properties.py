@@ -4,7 +4,9 @@ path of the convex learner.
 
 The row kernel `cvar_rows` is checked against the one-row `empirical_cvar`
 (bitwise) and against the independent breakpoint minimization of the threshold
-objective in exact rationals, then for the order properties of CVaR.
+objective in exact rationals, then for the order properties of CVaR; its
+count-weighted path against the same kernel on the block with each column
+repeated count times (bitwise on 0/B losses with B a power of two).
 Block-scored finite-class selection is checked against a per-predictor
 reference loop that draws from the same seeded stream. The convex learner's
 affine path, which evaluates the subgradients once, is checked bitwise against
@@ -151,6 +153,47 @@ def test_cvar_is_translation_and_scale_equivariant(block, tau_v, shift, scale):
     )
 
 
+@st.composite
+def counted_blocks(draw):
+    """An (R, k) block with integer column counts (some may be 0, at least one
+    is not), and whether it is two-valued {0, B} with B a power of two."""
+    rows = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 8))
+    counts = np.array(draw(st.lists(st.integers(0, 12), min_size=k, max_size=k)))
+    counts[draw(st.integers(0, k - 1))] += 1
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    two_valued = draw(st.booleans())
+    if two_valued:
+        b = 2.0 ** draw(st.integers(-4, 4))
+        values = np.where(gen.random((rows, k)) < draw(st.floats(0.0, 1.0)), b, 0.0)
+    else:
+        values = gen.random((rows, k)) * draw(bounds)
+        ties = draw(st.integers(0, k - 1))
+        values[:, :ties] = values[:, k - ties:]  # equal losses in columns of other counts
+    return values, counts, two_valued
+
+
+@PROPERTY
+@given(counted_blocks(), taus | st.just(1.0))
+# tau = 1, the mean path
+@example((np.array([[0.25, 1.0, 0.0]]), np.array([2, 1, 4]), True), 1.0)
+# floor(n*tau) = 5 falls inside the run of 7 tied losses 0.6
+@example((np.array([[0.6, 0.2, 0.6]]), np.array([3, 2, 4]), False), 0.6)
+# a single distinct record
+@example((np.array([[0.7], [0.0]]), np.array([5]), False), 0.3)
+# a count larger than n*tau = 8
+@example((np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([2, 30]), True), 0.25)
+def test_counted_cvar_rows_match_repeated_block(block, tau_v):
+    values, counts, two_valued = block
+    n_tau = counts.sum() * tau_v
+    got = cvar_rows(values, n_tau, counts.astype(np.float64))
+    want = cvar_rows(np.repeat(values, counts, axis=1), n_tau)
+    if two_valued:
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**32 - 1), taus, st.floats(min_value=0.05, max_value=50.0))
 def test_block_selection_matches_per_predictor_reference(seed, tau_v, eps):
@@ -160,18 +203,19 @@ def test_block_selection_matches_per_predictor_reference(seed, tau_v, eps):
     assert m % rows != 0 and m * n > _BLOCK_ELEMENTS
     gen = np.random.default_rng(seed)
     tables = gen.random((m, n))
-    pts = np.zeros(n)
+    pts = np.arange(n, dtype=float)  # n distinct records; point z has losses tables[:, z]
     tau, budget = TailMass(tau_v), PrivacyBudget(eps)
     calls: list[int] = []
 
     def loss_of(indices, points):
         calls.append(len(indices))
-        return tables[indices, : len(points)]
+        return tables[indices][:, points.astype(int)]
 
     inst = FiniteClassInstance(num_predictors=m, loss_of=loss_of, bound=LossBound(1.0))
     got = private_finite_class(inst, pts, tau, budget, RandomStream(seed, 3)).output
 
-    assert sum(calls) == m and max(calls) * n <= _BLOCK_ELEMENTS
+    k = n  # every record is distinct
+    assert sum(calls) == m and max(calls) * k <= _BLOCK_ELEMENTS
     scores = np.array(
         [-empirical_cvar(BoundedLossVector(tables[r], LossBound(1.0)), tau) for r in range(m)]
     )
