@@ -3,7 +3,8 @@
 Three release paths share the LearnerReport shape:
 
   * `private_scalar_cvar`: empirical CVaR plus Laplace noise at the exact
-    one-record sensitivity B * min{1, 1/(n*tau)}, clamped back to [0, B].
+    one-record sensitivity B * min{1, 1/(n*tau)}, clamped back to [0, B];
+    the sample may be dense or given as atom counts.
   * `private_finite_class`: exponential mechanism over predictors scored by
     negative empirical CVaR, with score sensitivity B/(n*tau), scored on the
     sample's distinct records weighted by their counts (the same function of
@@ -144,7 +145,9 @@ def private_finite_class(
     score by at most B/(n*tau), which is the sensitivity used. Predictors are
     scored in blocks of consecutive indices, one `loss_of` call on the k
     distinct records (`_distinct_records`) and one count-weighted `cvar_rows`
-    call per block.
+    call per block. When all n records are distinct every count is 1, and the
+    dense sort path scores the same rows faster: a sorted row does not depend
+    on column order.
     """
     if not budget.is_pure:
         raise ValueError("finite-class selection is pure DP; delta must be 0")
@@ -153,6 +156,7 @@ def private_finite_class(
     n, k = pts.shape[0], counts.size
     m = instance.num_predictors
     rows = max(1, _BLOCK_ELEMENTS // k)
+    weights = counts if k < n else None
     scores = np.empty(m, dtype=np.float64)
     for lo in range(0, m, rows):
         indices = np.arange(lo, min(lo + rows, m))
@@ -163,7 +167,7 @@ def private_finite_class(
                 f"expected shape {(indices.size, k)}, got {block.shape}"
             )
         check_losses(block, instance.bound)
-        scores[lo:lo + indices.size] = -cvar_rows(block, n * tau.tau, counts)
+        scores[lo:lo + indices.size] = -cvar_rows(block, n * tau.tau, weights)
     sens = SensitivityValue(instance.bound.b / (n * tau.tau))
     if m == 1:
         return LearnerReport(

@@ -464,7 +464,9 @@ def _scalar_cell(config: SweepConfig, n: int, tau_v: float, eps: float) -> RateR
     def run(items):
         errors = np.empty(len(items))
         for i, (which, stream) in enumerate(items):
-            sample = BoundedLossVector(members[which].sample(n, stream.generator), bound)
+            member = members[which]
+            counts = member.sample_counts(n, stream.generator)
+            sample = BoundedLossVector(member.values, bound, counts)
             report = private_scalar_cvar(sample, tau, budget, stream)
             errors[i] = abs(report.output - truths[which])
         return errors

@@ -10,7 +10,9 @@ Conventions used throughout:
 
 There is one empirical CVaR kernel, `cvar_rows`, which scores every row of an
 (R, n) loss block with one row-wise sort, or of an (R, k) block of distinct
-records weighted by their counts; `empirical_cvar` runs it on a one-row view.
+records weighted by their counts; `empirical_cvar` runs it on a one-row view
+of a sample, dense or counted (`DiscreteDistribution.sample_counts` draws the
+counts of a finitely supported law without building the n losses).
 Sorting beats `np.partition` here on the heavily tied 0/B losses the hard
 instances produce.
 
@@ -36,6 +38,8 @@ _MAX_COMPARED_EDGES = 2
 # Bit generators whose `advance(k)` moves the stream as k `random()` doubles
 # do; Philox's counts 4-output blocks, and MT19937 and SFC64 have none.
 _ADVANCEABLE = (np.random.PCG64, np.random.PCG64DXSM)
+# `DiscreteDistribution.sample_counts` draws its uniforms this many at a time.
+_COUNTED_SLICE = 2**14
 
 
 @dataclass(frozen=True)
@@ -79,22 +83,36 @@ def check_losses(values: np.ndarray, bound: LossBound) -> None:
 class BoundedLossVector:
     """A sample of n >= 1 losses, each validated into [0, B].
 
-    Values exactly at 0 or B are legal; anything outside raises.
+    Values exactly at 0 or B are legal; anything outside raises. With
+    `counts`, `values` are atoms and the sample holds counts[i] copies of
+    values[i]: the counts are nonnegative whole numbers (float64, zeros
+    allowed) summing to n in [1, 2**53), and the sample stands for
+    `np.repeat(values, counts)`. `n` is set here, so reading it never re-sums
+    the counts.
     """
 
-    __slots__ = ("values", "bound")
+    __slots__ = ("values", "bound", "counts", "n")
 
-    def __init__(self, values: Sequence[float] | np.ndarray, bound: LossBound):
+    def __init__(self, values: Sequence[float] | np.ndarray, bound: LossBound,
+                 counts: Sequence[float] | np.ndarray | None = None):
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("loss vector must be one-dimensional with n >= 1")
         check_losses(arr, bound)
+        n = arr.size
+        if counts is not None:
+            counts = np.asarray(counts, dtype=np.float64)
+            listed = counts.tolist()  # a few atoms: Python floats check faster than ufuncs
+            if counts.shape != arr.shape or not all(c >= 0.0 and c.is_integer() for c in listed):
+                raise ValueError("counts must be nonnegative whole numbers, one per atom")
+            total = sum(listed)  # exact: whole numbers, and the total is checked below 2**53
+            if not 1.0 <= total < 2.0**53:
+                raise ValueError(f"counts must sum to n in [1, 2**53), got {total}")
+            n = int(total)
         self.values = arr
         self.bound = bound
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
+        self.counts = counts
+        self.n = n
 
     def __len__(self) -> int:
         return self.n
@@ -106,7 +124,7 @@ class DiscreteDistribution:
     Probabilities must be nonnegative and sum to 1 within 1e-12.
     """
 
-    __slots__ = ("values", "probs")
+    __slots__ = ("values", "probs", "_cum")
 
     def __init__(self, values: Sequence[float] | np.ndarray, probs: Sequence[float] | np.ndarray):
         v = np.asarray(values, dtype=np.float64)
@@ -121,6 +139,8 @@ class DiscreteDistribution:
             raise ValueError(f"atom probabilities sum to {p.sum()!r}, expected 1 within 1e-12")
         self.values = v
         self.probs = p
+        self._cum = np.cumsum(p)
+        self._cum[-1] = 1.0  # guard the last edge against rounding
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw `count` iid atoms by inverse CDF over a uniform block.
@@ -132,20 +152,53 @@ class DiscreteDistribution:
         32-bit half it advances the stream past them instead of drawing them,
         which leaves the generator exactly where `rng.random(count)` would.
         """
-        values, bits = self.values, rng.bit_generator
-        if values.size == 1 and type(bits) in _ADVANCEABLE and not bits.state["has_uint32"]:
-            out = np.full(count, values[0])
-            bits.advance(int(count))  # advance rejects numpy integers
-            return out
-        cum = np.cumsum(self.probs)
-        cum[-1] = 1.0  # guard the last edge against rounding
+        values, cum = self.values, self._edges(count, rng)
+        if cum is None:
+            return np.full(count, values[0])
         u = rng.random(count)
-        if values.size - 1 > _MAX_COMPARED_EDGES:
+        if cum.size - 1 > _MAX_COMPARED_EDGES:
             return values[np.searchsorted(cum, u, side="right")]
         out = np.full(count, values[0])
         for edge, value in zip(cum[:-1], values[1:]):
             np.putmask(out, u >= edge, value)
         return out
+
+    def sample_counts(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """How many of `count` draws of `sample` on this stream take each atom.
+
+        Float64 counts, one per atom (zero for an atom no draw takes), equal to
+        the `np.bincount` of the atom indices `sample` would draw from the same
+        uniforms by the same edge comparisons, and the generator is left
+        exactly where `sample` leaves it. The uniforms are drawn
+        `_COUNTED_SLICE` at a time into one reused buffer, so no array of
+        `count` values is made.
+        """
+        cum = self._edges(count, rng)
+        if cum is None:
+            return np.array([float(count)])
+        u = rng.random(min(count, _COUNTED_SLICE))
+        counts = _atom_counts(u, cum)
+        for drawn in range(u.size, count, _COUNTED_SLICE):
+            counts += _atom_counts(rng.random(out=u[:min(_COUNTED_SLICE, count - drawn)]), cum)
+        return counts
+
+    def _edges(self, count: int, rng: np.random.Generator) -> np.ndarray | None:
+        """The CDF edges for `count` draws, or None once a one-atom distribution
+        has advanced the stream past the `count` uniforms it would ignore."""
+        bits = rng.bit_generator
+        if self.values.size == 1 and type(bits) in _ADVANCEABLE and not bits.state["has_uint32"]:
+            bits.advance(int(count))  # advance rejects numpy integers
+            return None
+        return self._cum
+
+
+def _atom_counts(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Float64 count of the uniforms `u` that take each atom of CDF edges `cum`."""
+    if cum.size - 1 > _MAX_COMPARED_EDGES:
+        return np.bincount(np.searchsorted(cum, u, side="right"),
+                           minlength=cum.size).astype(np.float64)
+    passed = [u.size, *(np.count_nonzero(u >= edge) for edge in cum[:-1].tolist()), 0]
+    return np.array([a - b for a, b in zip(passed, passed[1:])], dtype=np.float64)
 
 
 def cvar_rows(values: np.ndarray, n_tau: float, counts: np.ndarray | None = None) -> np.ndarray:
@@ -198,7 +251,7 @@ def _sorted_cvar_rows(ordered: np.ndarray, n_tau: float) -> np.ndarray:
 
 def empirical_cvar(sample: BoundedLossVector, tau: TailMass) -> float:
     """Empirical CVaR of the sample at tail mass tau (`cvar_rows` on one row)."""
-    return float(cvar_rows(sample.values[None, :], sample.n * tau.tau)[0])
+    return float(cvar_rows(sample.values[None, :], sample.n * tau.tau, sample.counts)[0])
 
 
 def population_cvar_discrete(dist: DiscreteDistribution, tau: TailMass) -> float:

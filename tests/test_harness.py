@@ -406,6 +406,24 @@ class TestSweepDeterminism:
             "0.0023572070678105767,0.0012438576437581608,privacy,3\n"
         )
 
+    def test_scalar_csv_bytes_at_a_bound_not_a_power_of_two_are_pinned(self):
+        # written by the counted scalar sample, which scores c draws of B as B*c
+        # rounded once; the dense sample of earlier versions summed c copies of
+        # B and differs in the last digits (0.0058299896307996667 in the first row)
+        cfg = SweepConfig(kind="scalar", ns=(1000, 10000), taus=(0.3, 0.05), epsilons=(1.0,),
+                          bound=0.3, pair_eps=1e-12, replicates=50, base_seed=3)
+        assert rate_csv_text(run_sweep(cfg)) == (
+            "kind,n,tau,eps,delta,M,d,B,G,D,reps,mean_excess,stderr,regime,seed\n"
+            "scalar,1000,0.29999999999999999,1,0,0,0,0.29999999999999999,0,0,50,"
+            "0.0058299896307996658,0.0007901631615800553,statistical,3\n"
+            "scalar,1000,0.050000000000000003,1,0,0,0,0.29999999999999999,0,0,50,"
+            "0.014276650141865254,0.0014579817326204818,mixed,3\n"
+            "scalar,10000,0.29999999999999999,1,0,0,0,0.29999999999999999,0,0,50,"
+            "0.0015774908644711947,0.00016113794627553493,statistical,3\n"
+            "scalar,10000,0.050000000000000003,1,0,0,0,0.29999999999999999,0,0,50,"
+            "0.0037870410822810284,0.00047369965028171048,statistical,3\n"
+        )
+
     def test_finite_csv_bytes_are_pinned(self):
         cfg = SweepConfig(kind="finite", ns=(200,), taus=(0.25,), epsilons=(0.5, 2.0),
                           Ms=(2, 8), replicates=20, base_seed=9)

@@ -51,6 +51,7 @@ from dpcvar.mechanisms import (
     gaussian_noise,
 )
 from dpcvar.risk import (
+    _COUNTED_SLICE,
     _MAX_COMPARED_EDGES,
     BoundedLossVector,
     DiscreteDistribution,
@@ -505,6 +506,72 @@ def test_one_atom_sample_leaves_the_stream_where_drawing_would(bit_generator, bu
     assert _same_state(rng.bit_generator.state, ref.bit_generator.state)
     assert rng.integers(2**20, size=4).tolist() == ref.integers(2**20, size=4).tolist()
     assert rng.laplace(0.0, 1.0) == ref.laplace(0.0, 1.0)
+
+
+SLICE_EDGE_COUNTS = [_COUNTED_SLICE - 1, _COUNTED_SLICE, _COUNTED_SLICE + 1, 2 * _COUNTED_SLICE + 7]
+
+
+@PROPERTY
+@given(atom_tables(), st.integers(0, 300) | st.sampled_from(SLICE_EDGE_COUNTS),
+       st.sampled_from(BIT_GENERATORS), st.booleans(), st.integers(0, 2**32 - 1))
+# one atom: advanced past on a fresh PCG64, drawn on a buffered one and on Philox
+@example(([0.5], np.array([1.0])), _COUNTED_SLICE + 1, np.random.PCG64, False, 1)
+@example(([0.5], np.array([1.0])), _COUNTED_SLICE + 1, np.random.PCG64, True, 1)
+@example(([0.5], np.array([1.0])), _COUNTED_SLICE, np.random.Philox, False, 2)
+# two and three atoms compare edges, five binary-search; zero-probability atoms inside
+@example(([1.0, 0.0], np.array([0.3, 0.7])), _COUNTED_SLICE - 1, np.random.PCG64, True, 3)
+@example(([0.0, 1.0, 2.0], np.array([0.2, 0.0, 0.8])), _COUNTED_SLICE, np.random.PCG64, False, 4)
+@example(([0.0, 1.0, 2.0, 3.0, 4.0], np.array([0.1, 0.0, 0.3, 0.2, 0.4])),
+         2 * _COUNTED_SLICE + 7, np.random.PCG64, False, 5)
+def test_sample_counts_are_the_bincount_of_sample_on_the_same_stream(atoms, count, bit_generator,
+                                                                     buffered, seed):
+    dist = DiscreteDistribution(*atoms)
+    indices = DiscreteDistribution(np.arange(len(atoms[0]), dtype=np.float64), dist.probs)
+    rng, ref = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+    if buffered:  # a small bounded integer leaves half of a 64-bit output buffered
+        rng.integers(7), ref.integers(7)
+    got = dist.sample_counts(count, rng)
+    drawn = indices.sample(count, ref).astype(np.int64)
+    assert got.dtype == np.float64
+    assert got.tolist() == np.bincount(drawn, minlength=len(atoms[0])).tolist()
+    assert _same_state(rng.bit_generator.state, ref.bit_generator.state)
+    assert rng.random() == ref.random()
+
+
+@st.composite
+def counted_samples(draw):
+    """Atoms with whole counts (some may be 0, at least one is not), and
+    whether the atoms lie in {0, B} with B a power of two."""
+    k = draw(st.integers(1, 5))
+    counts = np.array(draw(st.lists(st.integers(0, 60), min_size=k, max_size=k)), dtype=float)
+    counts[draw(st.integers(0, k - 1))] += 1.0
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    two_valued = draw(st.booleans())
+    if two_valued:
+        b = 2.0 ** draw(st.integers(-4, 4))
+        values = np.where(gen.random(k) < draw(st.floats(0.0, 1.0)), b, 0.0)
+    else:
+        b = draw(bounds)
+        values = gen.random(k) * b
+    return values, counts, LossBound(b), two_valued
+
+
+@PROPERTY
+@given(counted_samples(), taus | st.just(1.0))
+# the scalar pair's p1 member with no draw on B, and with every draw on it
+@example((np.array([1.0, 0.0]), np.array([0.0, 9.0]), LossBound(1.0), True), 0.3)
+@example((np.array([0.5, 0.0]), np.array([9.0, 0.0]), LossBound(0.5), True), 0.05)
+def test_counted_sample_cvar_matches_the_dense_sample(case, tau_v):
+    values, counts, bound, two_valued = case
+    tau = TailMass(tau_v)
+    counted = BoundedLossVector(values, bound, counts)
+    dense = BoundedLossVector(np.repeat(values, counts.astype(np.int64)), bound)
+    assert counted.n == dense.n
+    got, want = empirical_cvar(counted, tau), empirical_cvar(dense, tau)
+    if two_valued:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 @PROPERTY

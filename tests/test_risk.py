@@ -335,3 +335,28 @@ def test_type_validation():
 def test_loss_validation_messages(values, message):
     with pytest.raises(ValueError, match=message):
         BoundedLossVector(np.array(values), B1)
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ([1.0, -1.0, 2.0], "nonnegative whole"),
+        ([1.0, 0.5, 2.0], "nonnegative whole"),
+        ([1.0, np.nan, 2.0], "nonnegative whole"),
+        ([1.0, np.inf, 2.0], "nonnegative whole"),
+        ([2.0**53, 0.0, 0.0], "sum to n"),
+        ([1.0, 2.0], "one per atom"),
+        ([0.0, 0.0, 0.0], "sum to n"),
+    ],
+)
+def test_counted_sample_validation(counts, message):
+    with pytest.raises(ValueError, match=message):
+        BoundedLossVector(np.array([0.0, 0.5, 1.0]), B1, np.array(counts))
+
+
+def test_counted_sample_size_and_atom_check():
+    sample = BoundedLossVector([1.0, 0.0], B1, np.array([0.0, 7.0]))  # a zero count is legal
+    assert sample.n == len(sample) == 7 and type(sample.n) is int
+    assert empirical_cvar(sample, TailMass(0.5)) == 0.0
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1.0\]"):
+        BoundedLossVector([1.5, 0.0], B1, np.array([0.0, 7.0]))  # atoms are checked, counted or not
