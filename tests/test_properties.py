@@ -492,6 +492,8 @@ def test_a_uniform_on_an_edge_takes_the_next_atom(zeros):
     got = dist.sample(50, np.random.default_rng(9))
     assert got[0] == zeros + 1
     assert got.tobytes() == _binary_search_sample(dist, 50, np.random.default_rng(9)).tobytes()
+    counts = dist.sample_counts(50, np.random.default_rng(9))
+    assert counts.tolist() == np.bincount(got.astype(np.int64), minlength=len(probs)).tolist()
 
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
