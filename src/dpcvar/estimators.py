@@ -145,9 +145,7 @@ def private_finite_class(
     score by at most B/(n*tau), which is the sensitivity used. Predictors are
     scored in blocks of consecutive indices, one `loss_of` call on the k
     distinct records (`_distinct_records`) and one count-weighted `cvar_rows`
-    call per block. When all n records are distinct every count is 1, and the
-    dense sort path scores the same rows faster: a sorted row does not depend
-    on column order.
+    call per block.
     """
     if not budget.is_pure:
         raise ValueError("finite-class selection is pure DP; delta must be 0")
@@ -156,7 +154,6 @@ def private_finite_class(
     n, k = pts.shape[0], counts.size
     m = instance.num_predictors
     rows = max(1, _BLOCK_ELEMENTS // k)
-    weights = counts if k < n else None
     scores = np.empty(m, dtype=np.float64)
     for lo in range(0, m, rows):
         indices = np.arange(lo, min(lo + rows, m))
@@ -167,7 +164,7 @@ def private_finite_class(
                 f"expected shape {(indices.size, k)}, got {block.shape}"
             )
         check_losses(block, instance.bound)
-        scores[lo:lo + indices.size] = -cvar_rows(block, n * tau.tau, weights)
+        scores[lo:lo + indices.size] = -cvar_rows(block, n * tau.tau, counts)
     sens = SensitivityValue(instance.bound.b / (n * tau.tau))
     if m == 1:
         return LearnerReport(

@@ -87,11 +87,12 @@ class BoundedLossVector:
     `counts`, `values` are atoms and the sample holds counts[i] copies of
     values[i]: the counts are nonnegative whole numbers (float64, zeros
     allowed) summing to n in [1, 2**53), and the sample stands for
-    `np.repeat(values, counts)`. `n` is set here, so reading it never re-sums
-    the counts.
+    `np.repeat(values, counts)`. The counts are copied into a read-only array
+    and `n` is fixed here, so the two stay in step and reading `n` never
+    re-sums the counts.
     """
 
-    __slots__ = ("values", "bound", "counts", "n")
+    __slots__ = ("values", "bound", "counts", "_n")
 
     def __init__(self, values: Sequence[float] | np.ndarray, bound: LossBound,
                  counts: Sequence[float] | np.ndarray | None = None):
@@ -101,7 +102,8 @@ class BoundedLossVector:
         check_losses(arr, bound)
         n = arr.size
         if counts is not None:
-            counts = np.asarray(counts, dtype=np.float64)
+            counts = np.array(counts, dtype=np.float64)
+            counts.flags.writeable = False
             listed = counts.tolist()  # a few atoms: Python floats check faster than ufuncs
             if counts.shape != arr.shape or not all(c >= 0.0 and c.is_integer() for c in listed):
                 raise ValueError("counts must be nonnegative whole numbers, one per atom")
@@ -112,10 +114,14 @@ class BoundedLossVector:
         self.values = arr
         self.bound = bound
         self.counts = counts
-        self.n = n
+        self._n = n
+
+    @property
+    def n(self) -> int:
+        return self._n
 
     def __len__(self) -> int:
-        return self.n
+        return self._n
 
 
 class DiscreteDistribution:
@@ -168,7 +174,7 @@ class DiscreteDistribution:
 
         Float64 counts, one per atom (zero for an atom no draw takes), equal to
         the `np.bincount` of the atom indices `sample` would draw from the same
-        uniforms by the same edge comparisons, and the generator is left
+        uniforms against the same CDF edges, and the generator is left
         exactly where `sample` leaves it. The uniforms are drawn
         `_COUNTED_SLICE` at a time into one reused buffer, so no array of
         `count` values is made.
@@ -193,10 +199,8 @@ class DiscreteDistribution:
 
 
 def _atom_counts(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """Float64 count of the uniforms `u` that take each atom of CDF edges `cum`."""
-    if cum.size - 1 > _MAX_COMPARED_EDGES:
-        return np.bincount(np.searchsorted(cum, u, side="right"),
-                           minlength=cum.size).astype(np.float64)
+    """Float64 count of the uniforms `u` that take each atom of CDF edges `cum`:
+    atom i takes cum[i-1] <= u < cum[i], by comparison or by search in `sample`."""
     passed = [u.size, *(np.count_nonzero(u >= edge) for edge in cum[:-1].tolist()), 0]
     return np.array([a - b for a, b in zip(passed, passed[1:])], dtype=np.float64)
 

@@ -520,7 +520,7 @@ SLICE_EDGE_COUNTS = [_COUNTED_SLICE - 1, _COUNTED_SLICE, _COUNTED_SLICE + 1, 2 *
 @example(([0.5], np.array([1.0])), _COUNTED_SLICE + 1, np.random.PCG64, False, 1)
 @example(([0.5], np.array([1.0])), _COUNTED_SLICE + 1, np.random.PCG64, True, 1)
 @example(([0.5], np.array([1.0])), _COUNTED_SLICE, np.random.Philox, False, 2)
-# two and three atoms compare edges, five binary-search; zero-probability atoms inside
+# `sample` compares two and three atoms' edges and binary-searches five; zero-probability atoms inside
 @example(([1.0, 0.0], np.array([0.3, 0.7])), _COUNTED_SLICE - 1, np.random.PCG64, True, 3)
 @example(([0.0, 1.0, 2.0], np.array([0.2, 0.0, 0.8])), _COUNTED_SLICE, np.random.PCG64, False, 4)
 @example(([0.0, 1.0, 2.0, 3.0, 4.0], np.array([0.1, 0.0, 0.3, 0.2, 0.4])),

@@ -360,3 +360,15 @@ def test_counted_sample_size_and_atom_check():
     assert empirical_cvar(sample, TailMass(0.5)) == 0.0
     with pytest.raises(ValueError, match=r"must lie in \[0, 1.0\]"):
         BoundedLossVector([1.5, 0.0], B1, np.array([0.0, 7.0]))  # atoms are checked, counted or not
+
+
+def test_counted_sample_keeps_its_own_counts():
+    counts = np.array([2.0, 5.0])
+    sample = BoundedLossVector([1.0, 0.0], B1, counts)
+    counts[:] = [7.0, 0.0]  # the caller's array is not the sample's
+    assert sample.counts.tolist() == [2.0, 5.0] and sample.n == 7
+    assert empirical_cvar(sample, TailMass(0.5)) == 2.0 / 3.5
+    with pytest.raises(ValueError):
+        sample.counts[0] = 0.0
+    with pytest.raises(AttributeError):
+        sample.n = 3
