@@ -164,8 +164,10 @@ _SUBCOMMANDS: dict[str, dict] = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a flag's prefix is no second spelling of it
     parser = argparse.ArgumentParser(
         prog="dpcvar",
+        allow_abbrev=False,
         description=(
             "Differentially private CVaR estimation and learning: rate sweeps, "
             "slope fits, and exact audits with reproducible seeded randomness."
@@ -173,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, entry in _SUBCOMMANDS.items():
-        sub = subparsers.add_parser(name, help=entry["help"], description=entry["description"])
+        sub = subparsers.add_parser(name, help=entry["help"], description=entry["description"],
+                                    allow_abbrev=False)
         sub.add_argument("--seed", type=int, required=True,
                          help="base seed; fully determines all randomness")
         sub.add_argument("--out", required=entry["out_required"],

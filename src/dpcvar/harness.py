@@ -8,16 +8,16 @@ rates are not reproducible and the reports say so.
 
 `run_sweep` is the one entry point for the scalar, finite and convex sweeps:
 it takes the grid product for the kind and hands one job per cell to
-`_run_cells`, which runs the cells in order. Every cell
-follows one skeleton: start its clock, build the instance, run its loop over
-the replicate streams of `_streams` through `_replicates` (in this process,
-or split across up to `threads` bare forked worker processes, each handing
-its slice's results back through a pipe), and hand the per-replicate excess
-to `_row`, which fills the fifteen CSV fields. A convex cell's loop is one
-`private_convex_cvar_block` call over its streams: each replicate's sample
-is drawn from its own stream and reduced to its distinct records before the
-next is drawn, and replicates with equally many distinct records step
-together as one block.
+`_run_cells`, the only code that knows about processes. It runs the cells in
+this process, in order, or with `threads > 1` splits them across up to
+`threads` bare forked worker processes, each handing its cells' rows back
+through a pipe. Every cell is a plain loop with one skeleton: start its
+clock, build the instance, loop over the replicate streams of `_streams`, and
+hand the per-replicate excess to `_row`, which fills the fifteen CSV fields.
+A convex cell's loop is one `private_convex_cvar_block` call over its
+streams: each replicate's sample is drawn from its own stream and reduced to
+its distinct records before the next is drawn, and replicates with equally
+many distinct records step together as one block.
 
 Determinism contract: replicate r of a cell keys its random stream by a stable
 hash of (kind, cell parameters, r), so results are independent of execution
@@ -345,90 +345,13 @@ def _streams(config: SweepConfig, kind: str, n, tau, eps, index, delta=None):
     `index` is the pair member of a scalar cell, M of a finite cell or d of a
     convex one. Keys are built from float(tau), float(eps), float(delta) and
     int(n), int(index), so the numeric type of a grid value never picks the
-    stream.
+    stream. The streams come as a list, built before the cell's loop starts.
     """
     key = (kind, int(n), float(tau), float(eps), int(index))
     if delta is not None:
         key += (float(delta),)
-    for rep in range(config.replicates):
-        yield RandomStream(config.base_seed, stable_stream_id(*key, rep))
-
-
-def _worker_count(threads: int, replicates: int) -> int:
-    """Worker processes for one cell: at most `threads`, one per replicate and
-    one per CPU this process may run on; 1 (serial) where fork is missing."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(threads, replicates, cpus))
-
-
-def _replicates(config: SweepConfig, run, items: list) -> np.ndarray:
-    """`run(items)`, computed on up to `config.threads` forked worker processes.
-
-    `run` loops over a list of replicate items (each holding its own stream)
-    and returns an array whose last axis follows the list. With `workers`
-    processes, worker k is forked to run the k-th of `workers` contiguous
-    slices; it pickles (True, result) or, if its slice raised, (False,
-    repr(exception)) into its own pipe and ends with `os._exit` (a worker
-    that dies without a result counts as failed). The parent
-    runs no slice itself. It reads the results in slice order and joins
-    them, so the result equals the serial `run(items)` bit for bit, and it
-    raises if any worker failed. Every worker is reaped before this returns
-    or raises; on failure the workers not yet read are killed first.
-    `run` and `items` reach the workers through fork, never pickled: they
-    may close over objects that cannot be pickled, such as wrapped problem
-    callables. Only the result arrays cross the process boundary.
-    """
-    workers = _worker_count(config.threads, len(items))
-    if workers == 1:
-        return run(items)
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    results = []
-    try:
-        for k in range(workers):
-            chunk = items[len(items) * k // workers:len(items) * (k + 1) // workers]
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:  # the worker: run one slice, report, and never return
-                status = 1
-                try:
-                    os.close(read_end)
-                    try:
-                        reply = pickle.dumps((True, run(chunk)))
-                    except Exception as exc:
-                        reply = pickle.dumps((False, repr(exc)))
-                    with os.fdopen(write_end, "wb") as pipe:
-                        pipe.write(reply)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_end)
-            children.append((pid, read_end))
-        for k, (_, read_end) in enumerate(children):
-            with os.fdopen(read_end, "rb", closefd=False) as pipe:
-                try:
-                    ok, value = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    ok, value = False, "exited without a result"
-            if not ok:
-                raise RuntimeError(f"replicate worker {k} of {workers} failed: {value}")
-            results.append(value)
-    finally:
-        for k, (pid, read_end) in enumerate(children):
-            os.close(read_end)
-            if k >= len(results):
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return np.concatenate(results, axis=-1)
+    return [RandomStream(config.base_seed, stable_stream_id(*key, rep))
+            for rep in range(config.replicates)]
 
 
 def _row(config: SweepConfig, start: float, excess: np.ndarray, regime: str, *,
@@ -458,22 +381,14 @@ def _scalar_cell(config: SweepConfig, n: int, tau_v: float, eps: float) -> RateR
     construction_eps = config.pair_eps if config.pair_eps is not None else eps
     pair = make_scalar_pair(n, tau, PrivacyBudget(construction_eps), bound)
     budget = PrivacyBudget(eps)
-    members = (pair.p0, pair.p1)
-    truths = (pair.true_cvar(0), pair.true_cvar(1))
-
-    def run(items):
-        errors = np.empty(len(items))
-        for i, (which, stream) in enumerate(items):
-            member = members[which]
+    errors = np.empty((2, config.replicates))
+    for which, member in enumerate((pair.p0, pair.p1)):
+        truth = pair.true_cvar(which)
+        for rep, stream in enumerate(_streams(config, "scalar", n, tau_v, eps, which)):
             counts = member.sample_counts(n, stream.generator)
             sample = BoundedLossVector(member.values, bound, counts)
             report = private_scalar_cvar(sample, tau, budget, stream)
-            errors[i] = abs(report.output - truths[which])
-        return errors
-
-    items = [(which, stream) for which in (0, 1)
-             for stream in _streams(config, "scalar", n, tau_v, eps, which)]
-    errors = _replicates(config, run, items).reshape(2, config.replicates)
+            errors[which, rep] = abs(report.output - truth)
     worst = int(np.argmax(errors.mean(axis=1)))
     privacy_term = cvar_sensitivity_bound(n, tau, bound) / eps
     statistical_term = config.bound * math.sqrt(pair.p * (1.0 - pair.p) / n) / tau_v
@@ -496,16 +411,11 @@ def _finite_cell(config: SweepConfig, n: int, tau_v: float, eps: float, m: int) 
     inst = make_packing(m, n, tau, PrivacyBudget(construction_eps), bound)
     cls = FiniteClassInstance(num_predictors=m, loss_of=inst.loss_of, bound=bound)
     budget = PrivacyBudget(eps)
-
-    def run(streams):
-        excess = np.empty(len(streams))
-        for rep, stream in enumerate(streams):
-            j, pts = inst.draw(n, stream.generator)
-            report = private_finite_class(cls, pts, tau, budget, stream)
-            excess[rep] = inst.excess_of(report.output, j)
-        return excess
-
-    excess = _replicates(config, run, list(_streams(config, "finite", n, tau_v, eps, m)))
+    excess = np.empty(config.replicates)
+    for rep, stream in enumerate(_streams(config, "finite", n, tau_v, eps, m)):
+        j, pts = inst.draw(n, stream.generator)
+        report = private_finite_class(cls, pts, tau, budget, stream)
+        excess[rep] = inst.excess_of(report.output, j)
     log2m = math.log(2 * m)
     privacy_term = 2.0 * config.bound * log2m / (eps * n * tau_v)
     statistical_term = config.bound * math.sqrt(inst.p * log2m / n) / tau_v
@@ -541,20 +451,15 @@ def _convex_cell(
         affine=True,
     )
 
-    def run(streams):
-        # row 0 the excess, row 1 the calibrated sigma, one column per replicate
-        samples = (fam.sample_embedded(mu, tau, n, stream.generator) for stream in streams)
-        reports = private_convex_cvar_block(problem, samples, tau, budget, streams,
-                                            iterations=config.iterations)
-        return np.array([[fam.population_excess(report.output, mu) for report in reports],
-                         [report.noise_scales[0] for report in reports]])
-
-    excess, sigmas = _replicates(
-        config, run, list(_streams(config, "convex", n, tau_v, eps, d, delta)))
+    streams = _streams(config, "convex", n, tau_v, eps, d, delta)
+    samples = (fam.sample_embedded(mu, tau, n, stream.generator) for stream in streams)
+    reports = private_convex_cvar_block(problem, samples, tau, budget, streams,
+                                        iterations=config.iterations)
+    excess = np.array([fam.population_excess(report.output, mu) for report in reports])
     lam = lift_scale(config.lipschitz, config.bound, config.diameter)
     l_lift = lifted_gradient_bound(config.lipschitz, lam, tau)
     # every replicate's report carries the same calibrated sigma
-    noise_ratio = sigmas[-1] * math.sqrt(d + 1) / l_lift
+    noise_ratio = reports[-1].noise_scales[0] * math.sqrt(d + 1) / l_lift
     regime = "privacy" if noise_ratio >= 1.0 else (
         "statistical" if noise_ratio <= 1.0 / 3.0 else "mixed"
     )
@@ -562,8 +467,84 @@ def _convex_cell(
                 delta=delta, d=d, G=config.lipschitz, D=config.diameter)
 
 
-def _run_cells(jobs: list[Callable[[], RateRow]]) -> RateTable:
-    return RateTable([job() for job in jobs])
+def _worker_count(threads: int, cells: int) -> int:
+    """Worker processes for one sweep: at most `threads`, one per cell and one
+    per CPU this process may run on; 1 (serial) where fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(threads, cells, cpus))
+
+
+def _run_cells(jobs: list[Callable[[], RateRow]], threads: int) -> RateTable:
+    """Every job's row, in job order, computed on up to `threads` forked
+    worker processes.
+
+    With one worker the jobs run here, in order. With `workers` processes,
+    worker k is forked to run jobs[k::workers]: grids list their cells from
+    cheap to expensive, so strided slices share the work more evenly than
+    contiguous ones. A worker pickles (True, its rows) or, if a job raised,
+    (False, repr(exception)) into its own pipe and ends with `os._exit` (a
+    worker that dies without a result counts as failed). The parent runs no
+    job itself. It reads the results in worker order, puts the rows back in
+    job order, and raises if any worker failed. Every worker is reaped before
+    this returns or raises; on failure the workers not yet read are killed
+    first. The jobs reach the workers through fork, never pickled: they may
+    close over objects that cannot be pickled, such as wrapped problem
+    callables. Only the rows cross the process boundary, so whatever a job
+    records outside its row stays in its worker.
+    """
+    workers = _worker_count(threads, len(jobs))
+    if workers == 1:
+        return RateTable([job() for job in jobs])
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    results = []
+    try:
+        for k in range(workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:  # the worker: run its jobs, report, and never return
+                status = 1
+                try:
+                    os.close(read_end)
+                    try:
+                        reply = pickle.dumps((True, [job() for job in jobs[k::workers]]))
+                    except Exception as exc:
+                        reply = pickle.dumps((False, repr(exc)))
+                    with os.fdopen(write_end, "wb") as pipe:
+                        pipe.write(reply)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children.append((pid, read_end))
+        for k, (_, read_end) in enumerate(children):
+            with os.fdopen(read_end, "rb", closefd=False) as pipe:
+                try:
+                    ok, value = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    ok, value = False, "exited without a result"
+            if not ok:
+                raise RuntimeError(f"cell worker {k} of {workers} failed: {value}")
+            results.append(value)
+    finally:
+        for k, (pid, read_end) in enumerate(children):
+            os.close(read_end)
+            if k >= len(results):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    rows: list = [None] * len(jobs)
+    for k, worker_rows in enumerate(results):
+        rows[k::workers] = worker_rows
+    return RateTable(rows)
 
 
 def run_sweep(config: SweepConfig) -> RateTable:
@@ -571,7 +552,9 @@ def run_sweep(config: SweepConfig) -> RateTable:
 
     Cells are the product of the n, tau and eps grids with the M grid (finite)
     or the d and delta grids (convex), in that order. The cell functions are
-    looked up on every call, so a caller may wrap them.
+    looked up on every call, so a caller may wrap them. With `threads > 1` a
+    wrapped cell runs in a worker process, and only the row it returns comes
+    back: anything else the wrapper records stays in that worker.
     """
     if config.kind not in SWEEP_KINDS:
         raise ValueError(f"not a sweep kind: {config.kind!r}")
@@ -582,7 +565,7 @@ def run_sweep(config: SweepConfig) -> RateTable:
         "convex": (_convex_cell, (config.ds, deltas)),
     }[config.kind]
     grid = product(config.ns, config.taus, config.epsilons, *extra)
-    return _run_cells([partial(cell, config, *values) for values in grid])
+    return _run_cells([partial(cell, config, *values) for values in grid], config.threads)
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,6 @@ from typing import Sequence
 
 import numpy as np
 
-# `DiscreteDistribution.sample` compares uniforms against up to this many
-# interior CDF edges (1.5-4x faster than `np.searchsorted` at n = 3162..100000),
-# and binary-searches above it (three edges already lose at n <= 10000).
-_MAX_COMPARED_EDGES = 2
 # Bit generators whose `advance(k)` moves the stream as k `random()` doubles
 # do; Philox's counts 4-output blocks, and MT19937 and SFC64 have none.
 _ADVANCEABLE = (np.random.PCG64, np.random.PCG64DXSM)
@@ -151,9 +147,8 @@ class DiscreteDistribution:
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw `count` iid atoms by inverse CDF over a uniform block.
 
-        A uniform u takes atom i when i interior CDF edges are <= u. Up to
-        `_MAX_COMPARED_EDGES` edges, u is compared against each edge in turn;
-        beyond that, a binary search is cheaper. A one-atom distribution
+        A uniform u takes atom i when i interior CDF edges are <= u, found by
+        comparing u against each edge in turn. A one-atom distribution
         ignores its uniforms: on a PCG64 or PCG64DXSM stream with no buffered
         32-bit half it advances the stream past them instead of drawing them,
         which leaves the generator exactly where `rng.random(count)` would.
@@ -162,8 +157,6 @@ class DiscreteDistribution:
         if cum is None:
             return np.full(count, values[0])
         u = rng.random(count)
-        if cum.size - 1 > _MAX_COMPARED_EDGES:
-            return values[np.searchsorted(cum, u, side="right")]
         out = np.full(count, values[0])
         for edge, value in zip(cum[:-1], values[1:]):
             np.putmask(out, u >= edge, value)
@@ -200,7 +193,7 @@ class DiscreteDistribution:
 
 def _atom_counts(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
     """Float64 count of the uniforms `u` that take each atom of CDF edges `cum`:
-    atom i takes cum[i-1] <= u < cum[i], by comparison or by search in `sample`."""
+    atom i takes cum[i-1] <= u < cum[i], by comparison as in `sample`."""
     passed = [u.size, *(np.count_nonzero(u >= edge) for edge in cum[:-1].tolist()), 0]
     return np.array([a - b for a, b in zip(passed, passed[1:])], dtype=np.float64)
 

@@ -170,6 +170,9 @@ class TestUsageErrors:
         (["scalar-rate", "--c1", "0.2"], "--c1"),
         (["finite-rate", "--c0", "0.2"], "--c0"),
         (["mech-audit", "--threads", "2"], "--threads"),
+        # a prefix is no second spelling: --n once ran as --n-max, and --t was ambiguous
+        (["sensitivity-audit", "--n", "3"], "unrecognized arguments: --n 3"),
+        (["embed-check", "--t", "5"], "unrecognized arguments: --t 5"),
     ])
     def test_out_of_range_option_exits_2(self, argv, message, tmp_path, capsys):
         # each of these once crashed with exit 1 or passed without checking anything
@@ -273,14 +276,14 @@ class TestAuditCommands:
 
     def test_audit_scalar_flag_spellings(self, capsys):
         code, stdout, _ = run_cli(
-            ["sensitivity-audit", "--seed", "1", "--n-max", "3", "--tau", "0.5",
+            ["sensitivity-audit", "--seed", "1", "--n-max", "3", "--tau-grid", "0.5",
              "--B", "1"],
             capsys,
         )
         assert code == 0
         assert "max_change=" in stdout
         code, stdout, _ = run_cli(
-            ["mech-audit", "--seed", "2", "--M", "2", "--draws", "5000",
+            ["mech-audit", "--seed", "2", "--M-grid", "2", "--draws", "5000",
              "--trials", "50"],
             capsys,
         )

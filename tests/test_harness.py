@@ -2,6 +2,8 @@
 
 import math
 import os
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -225,15 +227,15 @@ class TestSweepDeterminism:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes are forked")
     @pytest.mark.parametrize("kind, grid", [
-        ("finite", dict(ns=(60,), taus=(0.25,), epsilons=(0.5,), Ms=(2, 4))),
+        ("finite", dict(ns=(60,), taus=(0.25,), epsilons=(0.5,), Ms=(2, 4, 8))),
         ("convex", dict(ns=(50,), taus=(1.0, 0.5), epsilons=(2.0,), ds=(2,), iterations=20,
                         gamma=0.4)),
     ])
     def test_worker_processes_do_not_change_output(self, monkeypatch, kind, grid):
         import dpcvar.harness as harness
 
-        # two workers even on a one-CPU host; an odd replicate count splits unevenly
-        monkeypatch.setattr(harness, "_worker_count", lambda threads, replicates: threads)
+        # two workers even on a one-CPU host; three finite cells split unevenly
+        monkeypatch.setattr(harness, "_worker_count", lambda threads, cells: threads)
         config = dict(kind=kind, replicates=5, base_seed=4, **grid)
         serial = rate_csv_text(run_sweep(SweepConfig(**config)))
         assert rate_csv_text(run_sweep(SweepConfig(threads=2, **config))) == serial
@@ -254,14 +256,14 @@ class TestSweepDeterminism:
             return ConvexProblem(**kwargs)
 
         monkeypatch.setattr(harness, "ConvexProblem", problem)
-        monkeypatch.setattr(harness, "_worker_count", lambda threads, replicates: threads)
+        monkeypatch.setattr(harness, "_worker_count", lambda threads, cells: threads)
         config = dict(kind="convex", ns=(50,), taus=(1.0,), epsilons=(2.0,), ds=(2, 3),
                       replicates=3, iterations=10, base_seed=6)
         serial = rate_csv_text(run_sweep(SweepConfig(**config)))
         assert set(calls_here) == {os.getpid()}
         calls_here.clear()
         assert rate_csv_text(run_sweep(SweepConfig(threads=2, **config))) == serial
-        assert calls_here == []  # every replicate ran in a worker process
+        assert calls_here == []  # every cell ran in a worker process
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes are forked")
     def test_failing_worker_fails_the_sweep_and_leaves_no_child(self, monkeypatch):
@@ -271,10 +273,11 @@ class TestSweepDeterminism:
             raise ValueError(f"no learner for {len(streams)} replicates")
 
         monkeypatch.setattr(harness, "private_convex_cvar_block", fail)
-        monkeypatch.setattr(harness, "_worker_count", lambda threads, replicates: threads)
-        config = SweepConfig(kind="convex", ns=(50,), taus=(1.0,), epsilons=(2.0,), ds=(2,),
+        monkeypatch.setattr(harness, "_worker_count", lambda threads, cells: threads)
+        config = SweepConfig(kind="convex", ns=(50,), taus=(1.0,), epsilons=(2.0,), ds=(2, 3),
                              replicates=3, iterations=5, threads=2)
-        with pytest.raises(RuntimeError, match=r"worker 0 of 2 failed: ValueError\('no learner"):
+        with pytest.raises(RuntimeError,
+                           match=r"cell worker 0 of 2 failed: ValueError\('no learner"):
             run_sweep(config)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -286,24 +289,32 @@ class TestSweepDeterminism:
 
         import dpcvar.harness as harness
 
-        def run(items):
-            if items == [failing]:
+        def job(k):
+            if k == failing:
                 raise KeyError(failing)
-            if items[0] > failing:
+            if k > failing:
                 time.sleep(60)  # only a kill ends these in time
-            return np.array(items, dtype=np.float64)
+            return make_row(n=k)
 
-        monkeypatch.setattr(harness, "_worker_count", lambda threads, replicates: threads)
+        monkeypatch.setattr(harness, "_worker_count", lambda threads, cells: threads)
         start = time.monotonic()
-        with pytest.raises(RuntimeError, match=f"worker {failing} of 3 failed: KeyError"):
-            harness._replicates(SweepConfig(kind="convex", threads=3), run, [0, 1, 2])
+        with pytest.raises(RuntimeError, match=f"cell worker {failing} of 3 failed: KeyError"):
+            harness._run_cells([partial(job, k) for k in range(3)], 3)
         assert time.monotonic() - start < 30.0
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        # and the results of healthy workers come back in slice order
-        assert harness._replicates(SweepConfig(kind="convex", threads=3),
-                                   lambda items: np.array(items, dtype=np.float64),
-                                   [5, 6, 7, 8]).tolist() == [5.0, 6.0, 7.0, 8.0]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes are forked")
+    @pytest.mark.parametrize("jobs", [3, 5])
+    def test_worker_rows_come_back_in_job_order(self, monkeypatch, jobs):
+        import dpcvar.harness as harness
+
+        # worker k runs jobs k, k + 2, ...; the parent interleaves their rows again
+        monkeypatch.setattr(harness, "_worker_count", lambda threads, cells: threads)
+        table = harness._run_cells([partial(make_row, n=k) for k in range(jobs)], 2)
+        assert [row.n for row in table.rows] == list(range(jobs))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_worker_count_is_capped(self, monkeypatch):
         # a pure function of its inputs and the host: nothing is started
@@ -452,15 +463,15 @@ class TestSweepDeterminism:
                                  ds=(2, 3), iterations=5),
         }
         for name, grid in sweeps.items():
-            calls = []
-
-            def wrapped(*args, cell=getattr(harness, name), calls=calls):
-                calls.append(args[1:])
-                return cell(*args)
+            # with two threads a cell may run in a worker: only its row comes back
+            def wrapped(*args, cell=getattr(harness, name)):
+                return replace(cell(*args), regime=f"wrapped {args[1:]}")
 
             monkeypatch.setattr(harness, name, wrapped)
             table = run_sweep(SweepConfig(replicates=2, threads=threads, **grid))
-            assert len(calls) == len(set(calls)) == len(table.rows) == 2
+            marks = [row.regime for row in table.rows]
+            assert len(marks) == len(set(marks)) == 2
+            assert all(mark.startswith("wrapped (") for mark in marks)
             assert all(row.wall_time > 0.0 for row in table.rows)
 
     def test_seed_changes_output(self):

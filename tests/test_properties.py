@@ -52,7 +52,6 @@ from dpcvar.mechanisms import (
 )
 from dpcvar.risk import (
     _COUNTED_SLICE,
-    _MAX_COMPARED_EDGES,
     BoundedLossVector,
     DiscreteDistribution,
     LossBound,
@@ -461,9 +460,9 @@ def _binary_search_sample(dist, count, rng):
 
 @st.composite
 def atom_tables(draw):
-    """One atom up to three past the edge-comparison crossover, some of zero
-    probability, with probabilities summing to 1 only within 1e-12."""
-    k = draw(st.integers(1, _MAX_COMPARED_EDGES + 4))
+    """One to six atoms, some of zero probability, with probabilities summing
+    to 1 only within 1e-12."""
+    k = draw(st.integers(1, 6))
     values = draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k))
     weights = np.array(
         draw(st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=k, max_size=k))
@@ -484,7 +483,7 @@ def test_sample_equals_binary_search_on_the_same_stream(atoms, count, bit_genera
     assert _same_state(rng.bit_generator.state, ref.bit_generator.state)
 
 
-@pytest.mark.parametrize("zeros", [0, 1, _MAX_COMPARED_EDGES + 2])
+@pytest.mark.parametrize("zeros", [0, 1, 4])
 def test_a_uniform_on_an_edge_takes_the_next_atom(zeros):
     u0 = np.random.default_rng(9).random()
     probs = [0.0] * zeros + [u0, 1.0 - u0]  # the cumulative sum hits u0 exactly
@@ -520,7 +519,7 @@ SLICE_EDGE_COUNTS = [_COUNTED_SLICE - 1, _COUNTED_SLICE, _COUNTED_SLICE + 1, 2 *
 @example(([0.5], np.array([1.0])), _COUNTED_SLICE + 1, np.random.PCG64, False, 1)
 @example(([0.5], np.array([1.0])), _COUNTED_SLICE + 1, np.random.PCG64, True, 1)
 @example(([0.5], np.array([1.0])), _COUNTED_SLICE, np.random.Philox, False, 2)
-# `sample` compares two and three atoms' edges and binary-searches five; zero-probability atoms inside
+# two, three and five atoms, zero-probability atoms inside
 @example(([1.0, 0.0], np.array([0.3, 0.7])), _COUNTED_SLICE - 1, np.random.PCG64, True, 3)
 @example(([0.0, 1.0, 2.0], np.array([0.2, 0.0, 0.8])), _COUNTED_SLICE, np.random.PCG64, False, 4)
 @example(([0.0, 1.0, 2.0, 3.0, 4.0], np.array([0.1, 0.0, 0.3, 0.2, 0.4])),
