@@ -201,7 +201,7 @@ def _read_config_file(path: str) -> dict[str, str]:
                     raise UsageError(f"{path}:{lineno}: expected `flag = value`, got {line!r}")
                 key, _, value = line.partition("=")
                 values[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return values
 
@@ -286,6 +286,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     command = args.command
     try:
+        if args.out and (os.path.isdir(args.out)
+                         or not os.path.isdir(os.path.dirname(os.path.abspath(args.out)))):
+            raise UsageError(f"--out {args.out} is a directory or in one that does not exist")
         if _SUBCOMMANDS[command]["kind"] in ("scalar", "finite", "convex"):
             return _run_rate_command(command, args)
         return _run_audit_command(command, args)

@@ -10,12 +10,13 @@ Three release paths share the LearnerReport shape:
     sample's distinct records weighted by their counts (the same function of
     the sample, so the same sensitivity).
   * `private_convex_cvar_block`: noisy projected subgradient descent on the
-    lifted empirical objective over W x [0, B/lam], once per sample of a
-    block of replicates, releasing only each averaged w (and the threshold
-    lam*u alongside it), with lam and the clipped per-point subgradient
-    terms from `risk.lift_scale` and `risk.lifted_terms`.
-    `private_convex_cvar` is its one-sample case. The learner reduces each
-    sample to its bitwise-distinct records with their counts: identical
+    lifted empirical objective over W x [0, B/lam], once per replicate
+    stream, on the sample that its `draw` callable takes from that stream,
+    releasing only each averaged w (and the threshold lam*u alongside it),
+    with lam and the clipped per-point subgradient terms from
+    `risk.lift_scale` and `risk.lifted_terms`. `private_convex_cvar` is its
+    one-sample case. The learner reduces each sample to its bitwise-distinct
+    records with their counts before the next is drawn: identical
     records contribute identical clipped terms, so the count-weighted sum is
     the same full-batch sum, regrouped, at the same sensitivity 2*L/n, and
     only its rounding changes. A `ConvexProblem` evaluates its losses and
@@ -31,8 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -255,20 +255,21 @@ def _distinct_records(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def private_convex_cvar_block(
     problem: ConvexProblem,
-    samples: Iterable[np.ndarray],
+    draw: Callable[[np.random.Generator], np.ndarray],
     tau: TailMass,
     budget: PrivacyBudget,
     rngs: Sequence[RandomStream],
     *,
     iterations: int | None = None,
 ) -> list[LearnerReport]:
-    """Minimize CVaR over a convex class under (eps, delta)-DP, once per sample.
+    """Minimize CVaR over a convex class under (eps, delta)-DP, once per stream.
 
-    `samples` yields one sample per stream of `rngs`, each an array of n
-    records along axis 0, and the i-th report is the learner's release on the
-    i-th sample with the i-th stream. Each sample is reduced to its distinct
-    records before the next one is drawn, so a caller that draws the samples
-    from the streams lazily holds one raw sample at a time.
+    For each stream r of `rngs`, in order, `draw(rngs[r].generator)` is
+    called once and returns replicate r's sample, an array of n records along
+    axis 0; the r-th report is the learner's release on that sample with that
+    stream. Each sample is reduced to its distinct records before the next
+    one is drawn and before any of its stream's noise, so one raw sample is
+    held at a time.
 
     Works on the lifted objective lam*u + (1/tau)*(loss - lam*u)_+ over
     W x [0, B/lam] with lam = `lift_scale(G, B, D)` = sqrt(G*B/D), which
@@ -301,36 +302,27 @@ def private_convex_cvar_block(
     one block of R <= max(1, n // k) replicates, so a block holds no more
     subgradient rows than one plain sample and no replicate's sums see
     another's rows. Each replicate keeps its own stream (its noise is drawn
-    after its sample, in blocks of `_BLOCK_ELEMENTS` values across the
-    block) and its own iterate. The block's records are stacked once into
-    one (R, k, ...) array, and each step makes one `loss_batch` and one
-    `project` call for the whole block (plus one `subgrad_batch` call when
-    the problem is not affine). The block sums are stacked `np.matmul`
-    products, whose slices equal the one-replicate products bit for bit, and
-    the problem's rows depend on their own replicate only, so a report does
-    not depend on which replicates share its block.
+    in blocks of `_BLOCK_ELEMENTS` values across the block) and its own
+    iterate. The block's records are stacked once into one (R, k, ...)
+    array, and each step makes one `loss_batch` and one `project` call for
+    the whole block (plus one `subgrad_batch` call when the problem is not
+    affine). The block sums are stacked `np.matmul` products, whose slices
+    equal the one-replicate products bit for bit, and the problem's rows
+    depend on their own replicate only, so a report does not depend on which
+    replicates share its block.
 
-    Requires all samples to hold the same n and delta in (0, n^-2]. A
-    zero-diameter domain short-circuits: the single feasible w does not
-    depend on the data and is returned without noise for every stream, no
-    sample is drawn, and no threshold is released, since a noiseless one
-    would.
+    Requires every sample to hold the n records of the first, and delta in
+    (0, n^-2]. A zero-diameter domain short-circuits: the
+    single feasible w does not depend on the data and is returned without
+    noise for every stream, `draw` is never called, and no threshold is
+    released, since a noiseless one would.
     """
-    streams = list(rngs)
     d = problem.dim
     if problem.diameter == 0.0:
         return [LearnerReport(output=problem.project(np.zeros((1, d)))[0],
                               epsilon=budget.epsilon, delta=budget.delta, noise_scales=(),
                               iterations=0)
-                for _ in streams]
-
-    reduced = map(_distinct_records, samples)
-    head = next(reduced, None)
-    if head is None or not streams:
-        raise ValueError("need one sample per stream, and at least one stream")
-    n = int(head[1].sum())
-    if not (0.0 < budget.delta <= 1.0 / (n * n)):
-        raise ValueError(f"delta must lie in (0, n^-2] = (0, {1.0 / (n * n)!r}]")
+                for _ in rngs]
 
     b = problem.bound.b
     lam = lift_scale(problem.lipschitz, b, problem.diameter)
@@ -338,19 +330,13 @@ def private_convex_cvar_block(
     lift_dim = d + 1
     l_lift = lifted_gradient_bound(problem.lipschitz, lam, tau)
     d_theta = math.sqrt(problem.diameter**2 + u_max**2)
-    if iterations is None:
-        iterations = n
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
-    sigma = gaussian_sigma_for_budget(2.0 * l_lift / n, budget, iterations)
-    step = d_theta / math.sqrt(iterations * (l_lift**2 + lift_dim * sigma**2))
     inv_t = 1.0 / tau.tau
     start = problem.project(np.zeros((1, d)))[0].astype(np.float64)
-    reports: list = [None] * len(streams)
+    reports: list = [None] * len(rngs)
 
     def run(block: list[tuple[int, np.ndarray, np.ndarray]]) -> None:
         records = np.stack([rec for _, rec, _ in block])
-        block_rngs = [streams[r] for r, _, _ in block]
+        block_rngs = [rngs[r] for r, _, _ in block]
         shares = np.stack([counts for _, _, counts in block]) / n
         size, k = shares.shape
         w = np.tile(start, (size, 1))
@@ -402,28 +388,25 @@ def private_convex_cvar_block(
             )
 
     pending: dict[int, list] = {}
-    # Only pending blocks hold records while the next sample is drawn: an
-    # exhausted list iterator drops its list, so head's records go once its
-    # block has run, and r is counted by hand since enumerate keeps its last
-    # item.
-    reduced = chain(iter([head]), reduced)
-    del head
-    r = -1
-    for rec, counts in reduced:
-        r += 1
-        if r >= len(streams):
-            raise ValueError(f"got more samples than the {len(streams)} streams")
-        if counts.sum() != n:
+    for r, stream in enumerate(rngs):
+        records, counts = _distinct_records(draw(stream.generator))
+        if r == 0:  # the first sample fixes n, and with it T and the calibration
+            n = int(counts.sum())
+            if not (0.0 < budget.delta <= 1.0 / (n * n)):
+                raise ValueError(f"delta must lie in (0, n^-2] = (0, {1.0 / (n * n)!r}]")
+            if iterations is None:
+                iterations = n
+            sigma = gaussian_sigma_for_budget(2.0 * l_lift / n, budget, iterations)
+            step = d_theta / math.sqrt(iterations * (l_lift**2 + lift_dim * sigma**2))
+        elif counts.sum() != n:
             raise ValueError(f"every sample must hold n = {n} records")
         group = pending.setdefault(counts.size, [])
-        group.append((r, rec, counts))
+        group.append((r, records, counts))
         if len(group) == max(1, n // counts.size):
             run(pending.pop(counts.size))
-        del rec, group
+        del records, group  # only pending blocks keep records while the next sample is drawn
     for group in pending.values():
         run(group)
-    if r + 1 < len(streams):
-        raise ValueError(f"got fewer samples than the {len(streams)} streams")
     return reports
 
 
@@ -441,5 +424,5 @@ def private_convex_cvar(
     `points` holds the n records along axis 0; the report is the one the
     sample would get inside any block of replicates.
     """
-    return private_convex_cvar_block(problem, [points], tau, budget, [rng],
+    return private_convex_cvar_block(problem, lambda _: points, tau, budget, [rng],
                                      iterations=iterations)[0]

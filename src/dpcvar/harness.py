@@ -15,9 +15,10 @@ through a pipe. Every cell is a plain loop with one skeleton: start its
 clock, build the instance, loop over the replicate streams of `_streams`, and
 hand the per-replicate excess to `_row`, which fills the fifteen CSV fields.
 A convex cell's loop is one `private_convex_cvar_block` call over its
-streams: each replicate's sample is drawn from its own stream and reduced to
-its distinct records before the next is drawn, and replicates with equally
-many distinct records step together as one block.
+streams, given the family's draw: the learner draws each replicate's sample
+from that replicate's stream and reduces it to its distinct records before
+the next is drawn, and replicates with equally many distinct records step
+together as one block.
 
 Determinism contract: replicate r of a cell keys its random stream by a stable
 hash of (kind, cell parameters, r), so results are independent of execution
@@ -109,8 +110,9 @@ class SweepConfig:
     budget from the mechanism budget; by default the instance is calibrated
     at the mechanism's own epsilon. `deltas = None` means pure DP for
     scalar/finite cells and the per-cell default delta = n^-2 for convex
-    cells. The two-point and packing constants c1 = c0 = 0.125 are not
-    settings: the sweeps check exponents and ratio laws, not constants.
+    cells. The two-point and packing constants `instances.C1` and
+    `instances.C0` (both 0.125) are not settings: the sweeps check exponents
+    and ratio laws, not constants.
     """
 
     kind: str
@@ -151,8 +153,10 @@ class SweepConfig:
             raise ValueError("sample sizes must be >= 1")
         if any(not 0.0 < t <= 1.0 for t in self.taus):
             raise ValueError("tail masses must lie in (0, 1]")
-        if any(e <= 0.0 for e in self.epsilons):
-            raise ValueError("epsilons must be positive")
+        if any(not 0.0 < e < math.inf for e in self.epsilons):
+            raise ValueError("epsilons must be positive and finite")
+        if self.pair_eps is not None and not 0.0 < self.pair_eps < math.inf:
+            raise ValueError(f"pair_eps must be positive and finite, got {self.pair_eps!r}")
         if any(m < 2 for m in self.Ms) and self.kind in ("finite", "mech-audit"):
             raise ValueError(f"{self.kind} needs M >= 2")
         if self.kind == "mech-audit":  # it runs the one (n, tau, eps) cell for every M
@@ -174,10 +178,10 @@ class SweepConfig:
             raise ValueError(f"sensitivity-audit enumeration of {self.value_levels}**n_max "
                              f"samples x n_max={self.n_max} is over the cap of "
                              f"{_ENUMERATION_CAP} entries")
-        if abs(self.gamma) > 1.0:
+        if not abs(self.gamma) <= 1.0:
             raise ValueError("gamma must lie in [-1, 1]")
-        if self.bound < 0.0 or self.lipschitz < 0.0 or self.diameter < 0.0:
-            raise ValueError("B, G, D must be nonnegative")
+        if not all(0.0 <= v < math.inf for v in (self.bound, self.lipschitz, self.diameter)):
+            raise ValueError("B, G, D must be finite and nonnegative")
         if self.kind == "convex" and self.diameter == 0.0:
             raise ValueError("convex sweeps need a positive diameter D")
         if self.kind in SWEEP_KINDS and not self.allow_capped:
@@ -452,9 +456,8 @@ def _convex_cell(
     )
 
     streams = _streams(config, "convex", n, tau_v, eps, d, delta)
-    samples = (fam.sample_embedded(mu, tau, n, stream.generator) for stream in streams)
-    reports = private_convex_cvar_block(problem, samples, tau, budget, streams,
-                                        iterations=config.iterations)
+    reports = private_convex_cvar_block(problem, partial(fam.sample_embedded, mu, tau, n), tau,
+                                        budget, streams, iterations=config.iterations)
     excess = np.array([fam.population_excess(report.output, mu) for report in reports])
     lam = lift_scale(config.lipschitz, config.bound, config.diameter)
     l_lift = lifted_gradient_bound(config.lipschitz, lam, tau)

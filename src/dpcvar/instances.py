@@ -3,7 +3,7 @@
 Two finite constructions expose exact optima for the sweep harness:
 
   * a two-point pair whose CVaR separation p*B/tau is matched to the privacy
-    budget through p = c1 * min{tau, 1/(eps*n)},
+    budget through p = C1 * min{tau, 1/(eps*n)},
   * a packing of M predictors over the domain {0, 1, ..., M} where predictor
     j is the only zero-CVaR choice under the j-th distribution and every
     wrong choice pays exactly the same gap.
@@ -43,6 +43,11 @@ class _DummyPoint:
 
 DUMMY = _DummyPoint()
 
+# tail-mass constants of the two-point pair (c1) and the packing (c0); the
+# sweeps check exponents and ratio laws, so no caller needs another value
+C1 = 0.125
+C0 = 0.125
+
 
 @dataclass(frozen=True)
 class ScalarHardPair:
@@ -66,21 +71,18 @@ def make_scalar_pair(
     tau: TailMass,
     budget: PrivacyBudget,
     bound: LossBound,
-    c1: float = 0.125,
 ) -> ScalarHardPair:
     """Build the calibrated two-point pair at sample size n.
 
-    The tail mass p = c1 * min{tau, 1/(eps*n)} keeps the pair statistically
-    confusable at budget eps while separating the CVaRs by exactly p*B/tau.
-    Requires c1 in (0, 1] so that p <= tau always holds.
+    The tail mass p = C1 * min{tau, 1/(eps*n)} keeps the pair statistically
+    confusable at budget eps while separating the CVaRs by exactly p*B/tau;
+    C1 <= 1, so p <= tau always holds.
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    if not 0.0 < c1 <= 1.0:
-        raise ValueError(f"c1 must lie in (0, 1], got {c1}")
     b = bound.b
     t = tau.tau
-    p = c1 * min(t, 1.0 / (budget.epsilon * n))
+    p = C1 * min(t, 1.0 / (budget.epsilon * n))
     gap = p * b / t
     p0 = DiscreteDistribution([0.0], [1.0])
     p1 = DiscreteDistribution([b, 0.0], [p, 1.0 - p])
@@ -142,17 +144,14 @@ def make_packing(
     tau: TailMass,
     budget: PrivacyBudget,
     bound: LossBound,
-    c0: float = 0.125,
 ) -> PackingInstance:
-    """Build the M-way packing with p = c0 * min{tau, ln(M)/(eps*n)}."""
+    """Build the M-way packing with p = C0 * min{tau, ln(M)/(eps*n)}."""
     if M < 2:
         raise ValueError(f"packing needs M >= 2, got {M}")
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    if not 0.0 < c0 <= 1.0:
-        raise ValueError(f"c0 must lie in (0, 1], got {c0}")
     t = tau.tau
-    p = c0 * min(t, math.log(M) / (budget.epsilon * n))
+    p = C0 * min(t, math.log(M) / (budget.epsilon * n))
     gap = p * bound.b / t
     return PackingInstance(M=M, p=p, gap=gap, bound=bound.b)
 

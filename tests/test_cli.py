@@ -173,6 +173,15 @@ class TestUsageErrors:
         # a prefix is no second spelling: --n once ran as --n-max, and --t was ambiguous
         (["sensitivity-audit", "--n", "3"], "unrecognized arguments: --n 3"),
         (["embed-check", "--t", "5"], "unrecognized arguments: --t 5"),
+        # non-finite or zero budgets and constants once exited 1; --gamma nan passed
+        (["scalar-rate", "--eps-grid", "inf"], "epsilons must be positive and finite"),
+        (["scalar-rate", "--pair-eps", "0"], "pair_eps"),
+        (["finite-rate", "--pair-eps", "nan"], "pair_eps"),
+        (["scalar-rate", "--B", "nan"], "B, G, D must be finite"),
+        (["finite-rate", "--B", "inf"], "B, G, D must be finite"),
+        (["convex-rate", "--G", "inf"], "B, G, D must be finite"),
+        (["convex-rate", "--D", "nan"], "B, G, D must be finite"),
+        (["convex-rate", "--gamma", "nan"], "gamma"),
     ])
     def test_out_of_range_option_exits_2(self, argv, message, tmp_path, capsys):
         # each of these once crashed with exit 1 or passed without checking anything
@@ -195,6 +204,28 @@ class TestUsageErrors:
         code, _, err = run_cli([command, "--seed", "1", "--config", str(cfg)], capsys)
         assert code == 2
         assert repr(key) in err
+
+    def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_bytes(b"reps = 5 # \xff\xfe\n")
+        code, _, err = run_cli(
+            ["scalar-rate", "--seed", "1", "--out", str(tmp_path / "x.csv"),
+             "--config", str(cfg)],
+            capsys,
+        )
+        assert code == 2
+        assert "cannot read config file" in err
+
+    @pytest.mark.parametrize("out", ["nope/x.csv", "."])
+    def test_bad_out_path_exits_2_before_any_cell(self, out, tmp_path, capsys, monkeypatch):
+        # both once exited 1, and only after the whole sweep had run
+        import dpcvar.harness as harness
+
+        monkeypatch.setattr(harness, "_run_cells", lambda jobs, threads: pytest.fail("ran"))
+        code, _, err = run_cli(["scalar-rate", "--seed", "1", "--out", str(tmp_path / out)],
+                               capsys)
+        assert code == 2
+        assert "is a directory or in one that does not exist" in err
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(

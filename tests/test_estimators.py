@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -304,13 +306,35 @@ def test_convex_block_needs_one_sample_of_n_records_per_stream():
     args = (TailMass(0.5), PrivacyBudget(epsilon=1.0, delta=1e-2))
     streams = [RandomStream(seed=21, stream_id=r) for r in range(2)]
     with pytest.raises(ValueError, match="n = 10 records"):
-        private_convex_cvar_block(interval_problem(), [zs, zs[:9]], *args, streams)
-    with pytest.raises(ValueError, match="fewer samples than the 2 streams"):
-        private_convex_cvar_block(interval_problem(), [zs], *args, streams)
-    with pytest.raises(ValueError, match="more samples than the 2 streams"):
-        private_convex_cvar_block(interval_problem(), [zs, zs, zs], *args, streams)
+        private_convex_cvar_block(interval_problem(), lambda _, it=iter([zs, zs[:9]]): next(it),
+                                  *args, streams)
     with pytest.raises(ValueError, match="numeric array"):
         private_convex_cvar(interval_problem(), np.array(["a", "b"]), *args, streams[0])
+
+
+def test_convex_block_draws_each_sample_from_its_own_stream_before_the_next():
+    # one draw per stream, in stream order, given that stream's own generator; when
+    # a draw runs, no raw sample drawn earlier is alive; zero diameter draws nothing
+    streams = [RandomStream(seed=22, stream_id=r) for r in range(5)]
+    args = (TailMass(0.5), PrivacyBudget(epsilon=1.0, delta=1e-4))
+    calls, drawn = [], []
+
+    def draw(gen):
+        assert all(ref() is None for ref in drawn)
+        calls.append(gen)
+        sample = gen.uniform(-0.5, 0.5, size=100)
+        if len(calls) % 2:
+            sample[:90] = sample[0]  # k = 11: replicates 0, 2 and 4 share one block
+        drawn.append(weakref.ref(sample))
+        return sample
+
+    reports = private_convex_cvar_block(interval_problem(), draw, *args, streams, iterations=4)
+    assert len(reports) == len(streams)
+    assert [id(gen) for gen in calls] == [id(s.generator) for s in streams]
+    flat = dataclasses.replace(interval_problem(), diameter=0.0, project=np.zeros_like)
+    never = private_convex_cvar_block(flat, lambda gen: pytest.fail("drew a sample"), *args,
+                                      streams)
+    assert [report.iterations for report in never] == [0] * len(streams)
 
 
 def test_private_paths_are_deterministic_per_stream():

@@ -269,7 +269,7 @@ class TestSweepDeterminism:
     def test_failing_worker_fails_the_sweep_and_leaves_no_child(self, monkeypatch):
         import dpcvar.harness as harness
 
-        def fail(problem, samples, tau, budget, streams, **kwargs):
+        def fail(problem, draw, tau, budget, streams, **kwargs):
             raise ValueError(f"no learner for {len(streams)} replicates")
 
         monkeypatch.setattr(harness, "private_convex_cvar_block", fail)

@@ -27,9 +27,7 @@ B1 = LossBound(1.0)
 
 
 def test_scalar_pair_worked_example():
-    pair = make_scalar_pair(
-        n=8, tau=TailMass(0.5), budget=PrivacyBudget(0.25), bound=B1, c1=1.0 / 8.0
-    )
+    pair = make_scalar_pair(n=8, tau=TailMass(0.5), budget=PrivacyBudget(0.25), bound=B1)
     # min(tau, 1/(eps*n)) = min(0.5, 0.5) = 0.5, so p = 1/16 and gap = 1/8
     assert pair.p == pytest.approx(1.0 / 16.0)
     assert pair.gap == pytest.approx(1.0 / 8.0)
@@ -41,20 +39,14 @@ def test_scalar_pair_worked_example():
 
 
 def test_scalar_pair_privacy_branch():
-    pair = make_scalar_pair(
-        n=1000, tau=TailMass(0.5), budget=PrivacyBudget(0.1), bound=B1, c1=0.25
-    )
-    assert pair.p == pytest.approx(0.25 / 100.0)
+    pair = make_scalar_pair(n=1000, tau=TailMass(0.5), budget=PrivacyBudget(0.1), bound=B1)
+    assert pair.p == pytest.approx(0.125 / 100.0)
     assert pair.gap == pytest.approx(pair.p * 1.0 / 0.5)
 
 
 def test_scalar_pair_rejects_bad_constants():
     with pytest.raises(ValueError):
         make_scalar_pair(n=0, tau=TailMass(0.5), budget=PrivacyBudget(1.0), bound=B1)
-    with pytest.raises(ValueError):
-        make_scalar_pair(n=5, tau=TailMass(0.5), budget=PrivacyBudget(1.0), bound=B1, c1=0.0)
-    with pytest.raises(ValueError):
-        make_scalar_pair(n=5, tau=TailMass(0.5), budget=PrivacyBudget(1.0), bound=B1, c1=1.5)
 
 
 def test_packing_excess_matches_population_cvar():

@@ -395,7 +395,7 @@ def test_block_learner_matches_the_one_replicate_reference(case, iterations, eps
     n = len(samples[0])
     tau, budget = TailMass(tau_v), PrivacyBudget(eps, 1.0 / n**2)
     reports = private_convex_cvar_block(
-        problem, iter(samples), tau, budget,
+        problem, lambda _, it=iter(samples): next(it), tau, budget,
         [RandomStream(seed, r) for r in range(len(samples))], iterations=iterations)
     assert len(reports) == len(samples)
     for r, (sample, report) in enumerate(zip(samples, reports)):
@@ -427,8 +427,8 @@ def test_block_reports_equal_lone_runs_byte_for_byte(monkeypatch, kind):
 
     monkeypatch.setattr(estimators, "gaussian_noise", noise)
     together = private_convex_cvar_block(
-        problem, iter(samples), tau, budget, [RandomStream(9, r) for r in range(len(samples))],
-        iterations=iterations)
+        problem, lambda _, it=iter(samples): next(it), tau, budget,
+        [RandomStream(9, r) for r in range(len(samples))], iterations=iterations)
     assert {330, 496} <= set(chunks) and _BLOCK_ELEMENTS // (3 * (d + 1)) == 330
     for r, sample in enumerate(samples):
         chunks.clear()
