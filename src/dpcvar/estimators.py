@@ -46,6 +46,7 @@ from .mechanisms import (
     laplace_noise,
 )
 from .risk import (
+    _BLOCK_ELEMENTS,
     BoundedLossVector,
     LossBound,
     TailMass,
@@ -57,12 +58,6 @@ from .risk import (
     lifted_gradient_bound,
     lifted_terms,
 )
-
-# Most values one block holds (losses private_finite_class scores, noise
-# private_convex_cvar draws, samples the sensitivity audit enumerates): a whole
-# (1024, 640) loss block would add about 10 MiB of transients, 2**15 a few
-# hundred KiB, still amortizing each call.
-_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass

@@ -53,7 +53,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .estimators import (
-    _BLOCK_ELEMENTS,
     ConvexProblem,
     FiniteClassInstance,
     private_convex_cvar_block,
@@ -73,6 +72,7 @@ from .mechanisms import (
     stable_stream_id,
 )
 from .risk import (
+    _BLOCK_ELEMENTS,
     BoundedLossVector,
     LossBound,
     TailMass,

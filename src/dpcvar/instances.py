@@ -24,7 +24,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .mechanisms import PrivacyBudget
-from .risk import DiscreteDistribution, LossBound, TailMass
+from .risk import _BLOCK_ELEMENTS, DiscreteDistribution, LossBound, TailMass
 
 
 class _DummyPoint:
@@ -247,9 +247,9 @@ class LinearLowerFamily:
 
         The n activations t ~ Bernoulli(tau) are drawn first, then the sign
         vectors v with coordinatewise means mu in [-1, 1]^d. The signs are
-        written into the rows a slice of about 2**15 uniforms at a time;
-        consecutive draws continue one stream, so the slices take the same
-        uniforms as one (n, d) draw, and no full-size temporary is made.
+        written into the rows a slice of about `_BLOCK_ELEMENTS` uniforms at a
+        time; consecutive draws continue one stream, so the slices take the
+        same uniforms as one (n, d) draw, and no full-size temporary is made.
         """
         mu = np.asarray(mu, dtype=np.float64)
         if mu.shape != (self.dim,) or np.abs(mu).max() > 1.0:
@@ -257,7 +257,7 @@ class LinearLowerFamily:
         rows = np.empty((n, 1 + self.dim))
         rows[:, 0] = rng.random(n) < tau.tau
         up = (1.0 + mu) / 2.0
-        step = max(1, (1 << 15) // self.dim)
+        step = max(1, _BLOCK_ELEMENTS // self.dim)
         for lo in range(0, n, step):
             signs = rows[lo:lo + step, 1:]
             signs[...] = np.where(rng.random(signs.shape) < up, 1.0, -1.0)

@@ -12,9 +12,9 @@ There is one empirical CVaR kernel, `cvar_rows`, which scores every row of an
 (R, n) loss block with one row-wise sort, or of an (R, k) block of distinct
 records weighted by their counts; `empirical_cvar` runs it on a one-row view
 of a sample, dense or counted (`DiscreteDistribution.sample_counts` draws the
-counts of a finitely supported law without building the n losses).
-Sorting beats `np.partition` here on the heavily tied 0/B losses the hard
-instances produce.
+counts of a finitely supported law without building the n losses, and skips
+a one-atom law's uniforms by advancing its stream past them). Sorting beats
+`np.partition` here on the heavily tied 0/B losses the hard instances produce.
 
 The convex learner minimizes the lifted (Rockafellar-Uryasev) objective
 lam*u + (1/tau)*(loss - lam*u)_+ over (w, u): `lift_scale` picks lam,
@@ -34,8 +34,12 @@ import numpy as np
 # Bit generators whose `advance(k)` moves the stream as k `random()` doubles
 # do; Philox's counts 4-output blocks, and MT19937 and SFC64 have none.
 _ADVANCEABLE = (np.random.PCG64, np.random.PCG64DXSM)
-# `DiscreteDistribution.sample_counts` draws its uniforms this many at a time.
-_COUNTED_SLICE = 2**14
+# Most values one transient block holds (uniforms `sample_counts` draws, signs
+# `sample_embedded` writes, losses `private_finite_class` scores, noise the
+# convex learner draws, samples the sensitivity audit enumerates): a whole
+# (1024, 640) loss block would add about 10 MiB of transients, 2**15 a few
+# hundred KiB, still amortizing each call.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -148,17 +152,11 @@ class DiscreteDistribution:
         """Draw `count` iid atoms by inverse CDF over a uniform block.
 
         A uniform u takes atom i when i interior CDF edges are <= u, found by
-        comparing u against each edge in turn. A one-atom distribution
-        ignores its uniforms: on a PCG64 or PCG64DXSM stream with no buffered
-        32-bit half it advances the stream past them instead of drawing them,
-        which leaves the generator exactly where `rng.random(count)` would.
+        comparing u against each edge in turn.
         """
-        values, cum = self.values, self._edges(count, rng)
-        if cum is None:
-            return np.full(count, values[0])
         u = rng.random(count)
-        out = np.full(count, values[0])
-        for edge, value in zip(cum[:-1], values[1:]):
+        out = np.full(count, self.values[0])
+        for edge, value in zip(self._cum[:-1], self.values[1:]):
             np.putmask(out, u >= edge, value)
         return out
 
@@ -169,33 +167,25 @@ class DiscreteDistribution:
         the `np.bincount` of the atom indices `sample` would draw from the same
         uniforms against the same CDF edges, and the generator is left
         exactly where `sample` leaves it. The uniforms are drawn
-        `_COUNTED_SLICE` at a time into one reused buffer, so no array of
-        `count` values is made.
+        `_BLOCK_ELEMENTS` at a time into one reused buffer, so no array of
+        `count` values is made. A one-atom distribution ignores its uniforms:
+        on a PCG64 or PCG64DXSM stream with no buffered 32-bit half it
+        advances the stream past them instead of drawing them, which leaves
+        the generator exactly where `rng.random(count)` would.
         """
-        cum = self._edges(count, rng)
-        if cum is None:
-            return np.array([float(count)])
-        u = rng.random(min(count, _COUNTED_SLICE))
-        counts = _atom_counts(u, cum)
-        for drawn in range(u.size, count, _COUNTED_SLICE):
-            counts += _atom_counts(rng.random(out=u[:min(_COUNTED_SLICE, count - drawn)]), cum)
-        return counts
-
-    def _edges(self, count: int, rng: np.random.Generator) -> np.ndarray | None:
-        """The CDF edges for `count` draws, or None once a one-atom distribution
-        has advanced the stream past the `count` uniforms it would ignore."""
         bits = rng.bit_generator
         if self.values.size == 1 and type(bits) in _ADVANCEABLE and not bits.state["has_uint32"]:
             bits.advance(int(count))  # advance rejects numpy integers
-            return None
-        return self._cum
-
-
-def _atom_counts(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """Float64 count of the uniforms `u` that take each atom of CDF edges `cum`:
-    atom i takes cum[i-1] <= u < cum[i], by comparison as in `sample`."""
-    passed = [u.size, *(np.count_nonzero(u >= edge) for edge in cum[:-1].tolist()), 0]
-    return np.array([a - b for a, b in zip(passed, passed[1:])], dtype=np.float64)
+            return np.array([float(count)])
+        edges = self._cum[:-1].tolist()
+        counts = [0] * self.values.size
+        u = np.empty(min(count, _BLOCK_ELEMENTS))
+        for drawn in range(0, count, _BLOCK_ELEMENTS):
+            block = rng.random(out=u[:min(_BLOCK_ELEMENTS, count - drawn)])
+            # atom i takes cum[i-1] <= u < cum[i]: the draws past edge i-1 but not edge i
+            passed = [block.size, *(np.count_nonzero(block >= edge) for edge in edges), 0]
+            counts = [c + a - b for c, a, b in zip(counts, passed, passed[1:])]
+        return np.array(counts, dtype=np.float64)
 
 
 def cvar_rows(values: np.ndarray, n_tau: float, counts: np.ndarray | None = None) -> np.ndarray:

@@ -16,14 +16,21 @@ import math
 
 import numpy as np
 
-from dpcvar.estimators import _BLOCK_ELEMENTS, ConvexProblem, LearnerReport
+from dpcvar.estimators import ConvexProblem, LearnerReport
 from dpcvar.mechanisms import (
     PrivacyBudget,
     RandomStream,
     gaussian_noise,
     gaussian_sigma_for_budget,
 )
-from dpcvar.risk import LossBound, TailMass, lift_scale, lifted_gradient_bound, lifted_terms
+from dpcvar.risk import (
+    _BLOCK_ELEMENTS,
+    LossBound,
+    TailMass,
+    lift_scale,
+    lifted_gradient_bound,
+    lifted_terms,
+)
 
 
 def interval_problem(dim=1, diameter=1.0, lipschitz=1.0, b=1.0):

@@ -34,7 +34,6 @@ from hypothesis import strategies as st
 import dpcvar.estimators as estimators
 from convex_oracles import interval_problem, reference_convex_cvar
 from dpcvar.estimators import (
-    _BLOCK_ELEMENTS,
     ConvexProblem,
     FiniteClassInstance,
     private_convex_cvar,
@@ -51,7 +50,7 @@ from dpcvar.mechanisms import (
     gaussian_noise,
 )
 from dpcvar.risk import (
-    _COUNTED_SLICE,
+    _BLOCK_ELEMENTS,
     BoundedLossVector,
     DiscreteDistribution,
     LossBound,
@@ -509,21 +508,26 @@ def test_one_atom_sample_leaves_the_stream_where_drawing_would(bit_generator, bu
     assert rng.laplace(0.0, 1.0) == ref.laplace(0.0, 1.0)
 
 
-SLICE_EDGE_COUNTS = [_COUNTED_SLICE - 1, _COUNTED_SLICE, _COUNTED_SLICE + 1, 2 * _COUNTED_SLICE + 7]
+SLICE_EDGE_COUNTS = [_BLOCK_ELEMENTS - 1, _BLOCK_ELEMENTS, _BLOCK_ELEMENTS + 1,
+                     2 * _BLOCK_ELEMENTS + 7]
 
 
 @PROPERTY
 @given(atom_tables(), st.integers(0, 300) | st.sampled_from(SLICE_EDGE_COUNTS),
        st.sampled_from(BIT_GENERATORS), st.booleans(), st.integers(0, 2**32 - 1))
 # one atom: advanced past on a fresh PCG64, drawn on a buffered one and on Philox
-@example(([0.5], np.array([1.0])), _COUNTED_SLICE + 1, np.random.PCG64, False, 1)
-@example(([0.5], np.array([1.0])), _COUNTED_SLICE + 1, np.random.PCG64, True, 1)
-@example(([0.5], np.array([1.0])), _COUNTED_SLICE, np.random.Philox, False, 2)
+@example(([0.5], np.array([1.0])), _BLOCK_ELEMENTS + 1, np.random.PCG64, False, 1)
+@example(([0.5], np.array([1.0])), _BLOCK_ELEMENTS + 1, np.random.PCG64, True, 1)
+@example(([0.5], np.array([1.0])), _BLOCK_ELEMENTS, np.random.Philox, False, 2)
 # two, three and five atoms, zero-probability atoms inside
-@example(([1.0, 0.0], np.array([0.3, 0.7])), _COUNTED_SLICE - 1, np.random.PCG64, True, 3)
-@example(([0.0, 1.0, 2.0], np.array([0.2, 0.0, 0.8])), _COUNTED_SLICE, np.random.PCG64, False, 4)
+@example(([1.0, 0.0], np.array([0.3, 0.7])), _BLOCK_ELEMENTS - 1, np.random.PCG64, True, 3)
+@example(([0.0, 1.0, 2.0], np.array([0.2, 0.0, 0.8])),
+         _BLOCK_ELEMENTS, np.random.PCG64, False, 4)
 @example(([0.0, 1.0, 2.0, 3.0, 4.0], np.array([0.1, 0.0, 0.3, 0.2, 0.4])),
-         2 * _COUNTED_SLICE + 7, np.random.PCG64, False, 5)
+         2 * _BLOCK_ELEMENTS + 7, np.random.PCG64, False, 5)
+# no draw at all, and a numpy-typed count advanced past on a fresh PCG64
+@example(([1.0, 0.0], np.array([0.3, 0.7])), 0, np.random.PCG64, False, 6)
+@example(([0.5], np.array([1.0])), np.int64(_BLOCK_ELEMENTS + 1), np.random.PCG64, False, 7)
 def test_sample_counts_are_the_bincount_of_sample_on_the_same_stream(atoms, count, bit_generator,
                                                                      buffered, seed):
     dist = DiscreteDistribution(*atoms)
