@@ -69,6 +69,7 @@ from .mechanisms import (
     SensitivityValue,
     exponential_mechanism,
     exponential_mechanism_probs,
+    gaussian_sigma_for_budget,
     stable_stream_id,
 )
 from .risk import (
@@ -106,13 +107,14 @@ class SweepConfig:
     """Grid, replication, and constant settings for one experiment.
 
     A config is checked when it is built: an invalid one raises ValueError
-    and never exists. `pair_eps` decouples the hard-instance construction
-    budget from the mechanism budget; by default the instance is calibrated
-    at the mechanism's own epsilon. `deltas = None` means pure DP for
-    scalar/finite cells and the per-cell default delta = n^-2 for convex
-    cells. The two-point and packing constants `instances.C1` and
-    `instances.C0` (both 0.125) are not settings: the sweeps check exponents
-    and ratio laws, not constants.
+    and never exists, and so does one with a cell whose noise scale, from
+    the calibration that cell runs, is not finite. `pair_eps` decouples the
+    hard-instance construction budget from the mechanism budget; by default
+    the instance is calibrated at the mechanism's own epsilon. `deltas =
+    None` means pure DP for scalar/finite cells and the per-cell default
+    delta = n^-2 for convex cells. The two-point and packing constants
+    `instances.C1` and `instances.C0` (both 0.125) are not settings: the
+    sweeps check exponents and ratio laws, not constants.
     """
 
     kind: str
@@ -199,6 +201,22 @@ class SweepConfig:
                         raise ValueError(
                             f"convex delta {dl} outside (0, n^-2] at n={n}"
                         )
+        # each cell's noise scale, from the calibration the cell itself runs
+        if self.kind == "scalar":
+            bound = LossBound(self.bound)
+            for n, t, e in product(self.ns, self.taus, self.epsilons):
+                if cvar_sensitivity_bound(n, TailMass(t), bound) / e == math.inf:
+                    raise ValueError(f"scalar cell n={n}, tau={t}, eps={e} has no finite "
+                                     "Laplace scale")
+        if self.kind == "convex":
+            lam = lift_scale(self.lipschitz, self.bound, self.diameter)
+            for n, t, e, dl in product(self.ns, self.taus, self.epsilons, self.deltas or (None,)):
+                l2 = 2.0 * lifted_gradient_bound(self.lipschitz, lam, TailMass(t)) / n
+                budget = PrivacyBudget(e, 1.0 / (n * n) if dl is None else dl)
+                try:
+                    gaussian_sigma_for_budget(l2, budget, self.iterations or n)
+                except ValueError as exc:
+                    raise ValueError(f"convex cell n={n}, tau={t}, eps={e}: {exc}") from None
 
 
 @dataclass(frozen=True)

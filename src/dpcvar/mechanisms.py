@@ -209,28 +209,38 @@ def gaussian_sigma_for_budget(
     For T >= 2 the budget is split by advanced composition: each release runs
     at eps0 = eps/(2*sqrt(2*T*ln(2/delta))) and delta0 = delta/(2*T), with the
     classical scale sigma = S * sqrt(2*ln(1.25/delta0)) / eps0.
+
+    Raises ValueError where the scale is not a finite float: an eps or delta
+    so small that eps0 or delta0 underflows, or the bracket or sigma overflows.
     """
     if not (math.isfinite(l2_sensitivity) and l2_sensitivity >= 0.0):
-        raise ValueError(f"l2 sensitivity must be nonnegative, got {l2_sensitivity!r}")
+        raise ValueError(f"l2 sensitivity must be finite and nonnegative, got {l2_sensitivity!r}")
     if budget.delta <= 0.0:
         raise ValueError("Gaussian calibration requires delta > 0")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     eps, delta = budget.epsilon, budget.delta
+    sigma = math.inf  # kept where eps0 or delta0 underflows, or the bracket overflows
     if iterations > 1:
         t = float(iterations)
         eps0 = eps / (2.0 * math.sqrt(2.0 * t * math.log(2.0 / delta)))
         delta0 = delta / (2.0 * t)
-        return l2_sensitivity * math.sqrt(2.0 * math.log(1.25 / delta0)) / eps0
-    # the exact delta falls from 1 towards 0 as sigma grows: bracket the target, then bisect
-    lo = hi = math.sqrt(2.0 * math.log(1.25 / delta)) / eps
-    while _gaussian_delta(eps, hi) > delta:
-        hi *= 2.0
-    while _gaussian_delta(eps, lo) <= delta:
-        lo *= 0.5
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if _gaussian_delta(eps, mid) > delta:
-            lo = mid
-        else:
-            hi = mid
-    return l2_sensitivity * hi
+        if eps0 > 0.0 and delta0 > 0.0:
+            sigma = l2_sensitivity * math.sqrt(2.0 * math.log(1.25 / delta0)) / eps0
+    elif (hi := math.sqrt(2.0 * math.log(1.25 / delta)) / eps) < math.inf:
+        # the exact delta falls from 1 towards 0 as sigma grows: bracket the target, then bisect
+        lo = hi
+        while _gaussian_delta(eps, hi) > delta:
+            hi *= 2.0
+        while _gaussian_delta(eps, lo) <= delta:
+            lo *= 0.5
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if _gaussian_delta(eps, mid) > delta:
+                lo = mid
+            else:
+                hi = mid
+        sigma = l2_sensitivity * hi
+    if not sigma < math.inf:
+        raise ValueError(f"no finite Gaussian scale for eps={eps!r}, delta={delta!r} "
+                         f"over {iterations} releases")
+    return sigma

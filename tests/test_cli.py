@@ -182,6 +182,17 @@ class TestUsageErrors:
         (["convex-rate", "--G", "inf"], "B, G, D must be finite"),
         (["convex-rate", "--D", "nan"], "B, G, D must be finite"),
         (["convex-rate", "--gamma", "nan"], "gamma"),
+        # finite options whose noise scale is not: each once passed validation, then exited 1
+        (["convex-rate", "--reps", "2", "--iters", "5", "--delta", "1e-308"],
+         "no finite Gaussian scale"),
+        (["convex-rate", "--reps", "2", "--iters", "5", "--eps-grid", "1e-310"],
+         "no finite Gaussian scale"),
+        (["convex-rate", "--reps", "2", "--iters", "5", "--D", "1e-320"],
+         "l2 sensitivity must be finite"),
+        (["convex-rate", "--reps", "2", "--iters", "5", "--G", "1e308", "--B", "1e308"],
+         "l2 sensitivity must be finite"),
+        (["scalar-rate", "--reps", "2", "--B", "1e308", "--eps-grid", "1e-300"],
+         "no finite Laplace scale"),
     ])
     def test_out_of_range_option_exits_2(self, argv, message, tmp_path, capsys):
         # each of these once crashed with exit 1 or passed without checking anything
@@ -226,6 +237,17 @@ class TestUsageErrors:
                                capsys)
         assert code == 2
         assert "is a directory or in one that does not exist" in err
+
+    @pytest.mark.parametrize("option", [["--delta", "1e-320"], ["--eps-grid", "1e-310"]])
+    def test_overflowing_single_release_calibration_exits_2(self, option, tmp_path):
+        # each once bisected forever; a subprocess with a timeout keeps a regression from hanging
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpcvar.cli", "convex-rate", "--seed", "1",
+             "--out", str(tmp_path / "e.csv"), "--reps", "2", "--iters", "1", *option],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "no finite Gaussian scale" in proc.stderr
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -169,6 +171,26 @@ def test_sigma_monotonicity():
         gaussian_sigma_for_budget(1.0, PrivacyBudget(e, 1e-6), 8) for e in (0.1, 0.2, 0.5, 1.0)
     ]
     assert all(a > b for a, b in zip(by_eps, by_eps[1:]))
+
+
+def test_sigma_raises_where_the_scale_overflows():
+    # the single-release bisection once looped forever on an infinite bracket, and
+    # T >= 2 divided by an eps0 of zero; a subprocess keeps a regression from hanging
+    script = """
+from dpcvar.mechanisms import PrivacyBudget, gaussian_sigma_for_budget
+cases = [(1.0, d, t) for d in (1e-320, 5e-324) for t in (1, 400)]
+cases += [(1.0, 1e-308, 400), (1e-310, 1e-6, 1)]
+for eps, delta, t in cases:
+    try:
+        sigma = gaussian_sigma_for_budget(1.0, PrivacyBudget(eps, delta), t)
+    except ValueError as exc:
+        assert "no finite Gaussian scale" in str(exc), exc
+    else:
+        raise SystemExit(f"eps={eps}, delta={delta}, T={t} returned {sigma}")
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sigma_requires_positive_delta():
