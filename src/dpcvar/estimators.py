@@ -13,16 +13,16 @@ Three release paths share the LearnerReport shape:
     lifted empirical objective over W x [0, B/lam], once per replicate
     stream, on the sample that its `draw` callable takes from that stream,
     releasing only each averaged w (and the threshold lam*u alongside it),
-    with lam and the clipped per-point subgradient terms from
-    `risk.lift_scale` and `risk.lifted_terms`. `private_convex_cvar` is its
-    one-sample case. The learner reduces each sample to its bitwise-distinct
-    records with their counts before the next is drawn: identical
-    records contribute identical clipped terms, so the count-weighted sum is
-    the same full-batch sum, regrouped, at the same sensitivity 2*L/n, and
-    only its rounding changes. A `ConvexProblem` evaluates its losses and
-    subgradients, and projects its iterates, for a whole block of replicates
-    per call, on a leading replicate axis; one marked `affine` has its
-    subgradients evaluated once per block.
+    calibrated by `convex_calibration`, as the sweep harness's convex cells
+    are, with clipped per-point subgradient terms from `risk.lifted_terms`.
+    `private_convex_cvar` is its one-sample case. The learner reduces each
+    sample to its bitwise-distinct records with their counts before the next
+    is drawn: identical records contribute identical clipped terms, so the
+    count-weighted sum is the same full-batch sum, regrouped, at the same
+    sensitivity 2*L/n, and only its rounding changes. A `ConvexProblem`
+    evaluates its losses and subgradients, and projects its iterates, for a
+    whole block of replicates per call, on a leading replicate axis; one
+    marked `affine` has its subgradients evaluated once per block.
 
 Intermediate iterates are never part of a report; only the privatized output
 is.
@@ -66,8 +66,8 @@ class LearnerReport:
 
     `output` is the released object (a scalar estimate, a predictor index, or
     a weight vector), `epsilon`/`delta` the budget consumed, `noise_scales`
-    the calibrated per-release scales, and `iterations` the number of noisy
-    releases composed.
+    the Laplace scale, the Gaussian sigma or, for selection, the score
+    sensitivity, and `iterations` the number of noisy releases composed.
     """
 
     output: Any
@@ -248,6 +248,20 @@ def _distinct_records(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pts[order[edges[:-1]]], (edges[1:] - edges[:-1]).astype(np.float64)
 
 
+def convex_calibration(lipschitz: float, bound: float, diameter: float, dim: int, tau: TailMass,
+                       n: int, budget: PrivacyBudget, iterations: int) -> tuple[float, ...]:
+    """(lam, B/lam, L, sigma, step) of the learner below on n records in T steps."""
+    if not (0.0 < budget.delta <= 1.0 / (n * n)):
+        raise ValueError(f"delta must lie in (0, n^-2] = (0, {1.0 / (n * n)!r}]")
+    lam = lift_scale(lipschitz, bound, diameter)
+    u_max = bound / lam
+    l_lift = lifted_gradient_bound(lipschitz, lam, tau)
+    sigma = gaussian_sigma_for_budget(2.0 * l_lift / n, budget, iterations)
+    d_theta = math.sqrt(diameter**2 + u_max**2)
+    return lam, u_max, l_lift, sigma, d_theta / math.sqrt(
+        iterations * (l_lift**2 + (dim + 1) * sigma**2))
+
+
 def private_convex_cvar_block(
     problem: ConvexProblem,
     draw: Callable[[np.random.Generator], np.ndarray],
@@ -267,14 +281,14 @@ def private_convex_cvar_block(
     held at a time.
 
     Works on the lifted objective lam*u + (1/tau)*(loss - lam*u)_+ over
-    W x [0, B/lam] with lam = `lift_scale(G, B, D)` = sqrt(G*B/D), which
-    balances the threshold direction against the weight directions. Each of
-    the T iterations takes a full-batch lifted subgradient step (per-example
-    contributions defensively clipped at the lifted gradient bound, by
-    `lifted_terms`), adds Gaussian noise calibrated by composition to the
-    2*L/n step sensitivity, and projects back. The step size is
-    D_Theta / sqrt(T * (L^2 + (d+1) * sigma^2)), and the release is the
-    uniformly averaged w. `iterations = None` runs T = n.
+    W x [0, B/lam] with lam = sqrt(G*B/D), which balances the threshold
+    direction against the weight directions. Each of the T iterations takes
+    a full-batch lifted subgradient step (per-example contributions
+    defensively clipped at the lifted gradient bound, by `lifted_terms`),
+    adds Gaussian noise calibrated by composition to the 2*L/n step
+    sensitivity, and projects back. The step size is D_Theta / sqrt(T * (L^2
+    + (d+1) * sigma^2)); `convex_calibration` computes it, lam, L and sigma.
+    The release is the uniformly averaged w. `iterations = None` runs T = n.
 
     The full-batch sum runs over each sample's bitwise-distinct records, each
     weighted by how often it occurs. Identical records have identical losses,
@@ -319,12 +333,7 @@ def private_convex_cvar_block(
                               iterations=0)
                 for _ in rngs]
 
-    b = problem.bound.b
-    lam = lift_scale(problem.lipschitz, b, problem.diameter)
-    u_max = b / lam
     lift_dim = d + 1
-    l_lift = lifted_gradient_bound(problem.lipschitz, lam, tau)
-    d_theta = math.sqrt(problem.diameter**2 + u_max**2)
     inv_t = 1.0 / tau.tau
     start = problem.project(np.zeros((1, d)))[0].astype(np.float64)
     reports: list = [None] * len(rngs)
@@ -387,12 +396,11 @@ def private_convex_cvar_block(
         records, counts = _distinct_records(draw(stream.generator))
         if r == 0:  # the first sample fixes n, and with it T and the calibration
             n = int(counts.sum())
-            if not (0.0 < budget.delta <= 1.0 / (n * n)):
-                raise ValueError(f"delta must lie in (0, n^-2] = (0, {1.0 / (n * n)!r}]")
             if iterations is None:
                 iterations = n
-            sigma = gaussian_sigma_for_budget(2.0 * l_lift / n, budget, iterations)
-            step = d_theta / math.sqrt(iterations * (l_lift**2 + lift_dim * sigma**2))
+            lam, u_max, l_lift, sigma, step = convex_calibration(
+                problem.lipschitz, problem.bound.b, problem.diameter, d, tau, n, budget,
+                iterations)
         elif counts.sum() != n:
             raise ValueError(f"every sample must hold n = {n} records")
         group = pending.setdefault(counts.size, [])

@@ -55,6 +55,7 @@ import numpy as np
 from .estimators import (
     ConvexProblem,
     FiniteClassInstance,
+    convex_calibration,
     private_convex_cvar_block,
     private_finite_class,
     private_scalar_cvar,
@@ -69,7 +70,6 @@ from .mechanisms import (
     SensitivityValue,
     exponential_mechanism,
     exponential_mechanism_probs,
-    gaussian_sigma_for_budget,
     stable_stream_id,
 )
 from .risk import (
@@ -79,8 +79,6 @@ from .risk import (
     TailMass,
     _sorted_cvar_rows,
     cvar_sensitivity_bound,
-    lift_scale,
-    lifted_gradient_bound,
     population_cvar_discrete,
 )
 # bound here as well because benchmark tracing patches `harness._cvar_rows` and
@@ -107,14 +105,14 @@ class SweepConfig:
     """Grid, replication, and constant settings for one experiment.
 
     A config is checked when it is built: an invalid one raises ValueError
-    and never exists, and so does one with a cell whose noise scale, from
-    the calibration that cell runs, is not finite. `pair_eps` decouples the
-    hard-instance construction budget from the mechanism budget; by default
-    the instance is calibrated at the mechanism's own epsilon. `deltas =
-    None` means pure DP for scalar/finite cells and the per-cell default
-    delta = n^-2 for convex cells. The two-point and packing constants
-    `instances.C1` and `instances.C0` (both 0.125) are not settings: the
-    sweeps check exponents and ratio laws, not constants.
+    and never exists, and so does one with a scalar cell whose Laplace scale
+    is not finite or a convex cell whose `convex_calibration` (the learner's
+    own) fails. `pair_eps` decouples the hard-instance construction budget
+    from the mechanism budget; by default the instance is calibrated at the
+    mechanism's own epsilon. `deltas = None` means pure DP for scalar/finite
+    cells and the per-cell default delta = n^-2 for convex cells. The
+    two-point and packing constants `instances.C1` and `instances.C0` (both
+    0.125) are not settings: the sweeps check exponents and ratio laws, not constants.
     """
 
     kind: str
@@ -192,15 +190,8 @@ class SweepConfig:
                     raise ValueError(
                         f"cell n={n}, tau={t} has n*tau < 1; pass allow_capped to run it"
                     )
-        if self.deltas is not None:
-            if self.kind in ("scalar", "finite") and any(dl != 0.0 for dl in self.deltas):
-                raise ValueError(f"{self.kind} sweeps are pure DP; delta must be 0")
-            if self.kind == "convex":
-                for dl, n in product(self.deltas, self.ns):
-                    if not 0.0 < dl <= 1.0 / (n * n):
-                        raise ValueError(
-                            f"convex delta {dl} outside (0, n^-2] at n={n}"
-                        )
+        if self.kind in ("scalar", "finite") and any(dl != 0.0 for dl in self.deltas or ()):
+            raise ValueError(f"{self.kind} sweeps are pure DP; delta must be 0")
         # each cell's noise scale, from the calibration the cell itself runs
         if self.kind == "scalar":
             bound = LossBound(self.bound)
@@ -209,14 +200,15 @@ class SweepConfig:
                     raise ValueError(f"scalar cell n={n}, tau={t}, eps={e} has no finite "
                                      "Laplace scale")
         if self.kind == "convex":
-            lam = lift_scale(self.lipschitz, self.bound, self.diameter)
-            for n, t, e, dl in product(self.ns, self.taus, self.epsilons, self.deltas or (None,)):
-                l2 = 2.0 * lifted_gradient_bound(self.lipschitz, lam, TailMass(t)) / n
-                budget = PrivacyBudget(e, 1.0 / (n * n) if dl is None else dl)
+            for n, t, e, d, dl in product(self.ns, self.taus, self.epsilons, self.ds,
+                                          self.deltas or (None,)):
                 try:
-                    gaussian_sigma_for_budget(l2, budget, self.iterations or n)
-                except ValueError as exc:
-                    raise ValueError(f"convex cell n={n}, tau={t}, eps={e}: {exc}") from None
+                    convex_calibration(self.lipschitz, self.bound, self.diameter, d, TailMass(t),
+                                       n, PrivacyBudget(e, 1.0 / (n * n) if dl is None else dl),
+                                       self.iterations or n)
+                except (ValueError, ArithmeticError) as exc:
+                    raise ValueError(f"convex cell n={n}, tau={t}, eps={e}, d={d}, delta="
+                                     f"{'n^-2' if dl is None else dl}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -412,7 +404,7 @@ def _scalar_cell(config: SweepConfig, n: int, tau_v: float, eps: float) -> RateR
             report = private_scalar_cvar(sample, tau, budget, stream)
             errors[which, rep] = abs(report.output - truth)
     worst = int(np.argmax(errors.mean(axis=1)))
-    privacy_term = cvar_sensitivity_bound(n, tau, bound) / eps
+    privacy_term = report.noise_scales[0]  # the Laplace scale every release of the cell used
     statistical_term = config.bound * math.sqrt(pair.p * (1.0 - pair.p) / n) / tau_v
     return _row(config, start, errors[worst], _three_way(privacy_term, statistical_term),
                 kind="scalar", n=n, tau=tau_v, eps=eps)
@@ -477,10 +469,9 @@ def _convex_cell(
     reports = private_convex_cvar_block(problem, partial(fam.sample_embedded, mu, tau, n), tau,
                                         budget, streams, iterations=config.iterations)
     excess = np.array([fam.population_excess(report.output, mu) for report in reports])
-    lam = lift_scale(config.lipschitz, config.bound, config.diameter)
-    l_lift = lifted_gradient_bound(config.lipschitz, lam, tau)
-    # every replicate's report carries the same calibrated sigma
-    noise_ratio = reports[-1].noise_scales[0] * math.sqrt(d + 1) / l_lift
+    _, _, l_lift, sigma, _ = convex_calibration(config.lipschitz, config.bound, config.diameter,
+                                                d, tau, n, budget, config.iterations or n)
+    noise_ratio = sigma * math.sqrt(d + 1) / l_lift
     regime = "privacy" if noise_ratio >= 1.0 else (
         "statistical" if noise_ratio <= 1.0 / 3.0 else "mixed"
     )

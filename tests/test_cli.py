@@ -191,6 +191,13 @@ class TestUsageErrors:
          "l2 sensitivity must be finite"),
         (["convex-rate", "--reps", "2", "--iters", "5", "--G", "1e308", "--B", "1e308"],
          "l2 sensitivity must be finite"),
+        # finite options whose step size overflows or divides by zero: each once exited 1
+        (["convex-rate", "--reps", "2", "--iters", "5", "--D", "1e300"], "convex cell"),
+        (["convex-rate", "--reps", "2", "--iters", "5", "--G", "1e154"], "convex cell"),
+        (["convex-rate", "--reps", "2", "--iters", "5", "--G", "1e150", "--eps-grid", "1e-10"],
+         "convex cell"),
+        (["convex-rate", "--reps", "2", "--iters", "5", "--D", "1e200", "--B", "1e-300"],
+         "convex cell"),
         (["scalar-rate", "--reps", "2", "--B", "1e308", "--eps-grid", "1e-300"],
          "no finite Laplace scale"),
     ])

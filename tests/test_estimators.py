@@ -15,6 +15,7 @@ from dpcvar.estimators import (
     ConvexProblem,
     FiniteClassInstance,
     _distinct_records,
+    convex_calibration,
     private_convex_cvar,
     private_convex_cvar_block,
     private_finite_class,
@@ -181,6 +182,28 @@ def test_convex_iterates_and_threshold_stay_feasible():
         80,
     )
     assert report.noise_scales == (want_sigma,)
+
+
+def test_convex_calibration_is_the_learners():
+    # sigma is the scale the learner reports; the step is D_Theta/sqrt(T(L^2 + (d+1) sigma^2))
+    # with L = sqrt(G^2 + lam^2)/tau and D_Theta = sqrt(D^2 + (B/lam)^2), lam = sqrt(G*B/D)
+    tau, budget = TailMass(0.5), PrivacyBudget(epsilon=0.8, delta=1.0 / 50**2)
+    problem = interval_problem(diameter=1.5, lipschitz=2.0, b=0.7)
+    report = private_convex_cvar(problem, np.linspace(0.0, 0.5, 50), tau, budget,
+                                 RandomStream(seed=11), iterations=80)
+    lam, u_max, l_lift, sigma, step = convex_calibration(2.0, 0.7, 1.5, 1, tau, 50, budget, 80)
+    assert sigma == report.noise_scales[0]
+    assert lam == pytest.approx(math.sqrt(2.0 * 0.7 / 1.5), rel=1e-15)
+    assert u_max == pytest.approx(0.7 / lam, rel=1e-15)
+    assert l_lift == pytest.approx(math.sqrt(4.0 + lam * lam) / 0.5, rel=1e-15)
+    d_theta = math.sqrt(1.5 * 1.5 + u_max * u_max)
+    assert step == pytest.approx(d_theta / math.sqrt(80 * (l_lift**2 + 2 * sigma**2)),
+                                 rel=1e-15)
+    # a zero G or B leaves the threshold coordinate unscaled
+    for g, b in ((0.0, 0.7), (2.0, 0.0)):
+        assert convex_calibration(g, b, 1.5, 1, tau, 50, budget, 80)[0] == 1.0
+    with pytest.raises(ValueError, match="n\\^-2"):
+        convex_calibration(2.0, 0.7, 1.5, 1, tau, 100, budget, 80)  # delta > 100^-2
 
 
 def test_convex_release_satisfies_threshold_inequality():
