@@ -191,6 +191,8 @@ class TestUsageErrors:
          "l2 sensitivity must be finite"),
         (["convex-rate", "--reps", "2", "--iters", "5", "--G", "1e308", "--B", "1e308"],
          "l2 sensitivity must be finite"),
+        (["scalar-rate", "--reps", "2", "--B", "1e308", "--eps-grid", "1e-300"],
+         "no finite Laplace scale"),
         # finite options whose step size overflows or divides by zero: each once exited 1
         (["convex-rate", "--reps", "2", "--iters", "5", "--D", "1e300"], "convex cell"),
         (["convex-rate", "--reps", "2", "--iters", "5", "--G", "1e154"], "convex cell"),
@@ -198,8 +200,6 @@ class TestUsageErrors:
          "convex cell"),
         (["convex-rate", "--reps", "2", "--iters", "5", "--D", "1e200", "--B", "1e-300"],
          "convex cell"),
-        (["scalar-rate", "--reps", "2", "--B", "1e308", "--eps-grid", "1e-300"],
-         "no finite Laplace scale"),
     ])
     def test_out_of_range_option_exits_2(self, argv, message, tmp_path, capsys):
         # each of these once crashed with exit 1 or passed without checking anything
